@@ -5,7 +5,7 @@ delegation → hybrid ``CreateExpander`` → flood/BFS/well-forming) used to
 run on per-node ``list[set]``/``dict`` structures, capping churn-rebuild
 loops at small ``n``.  The columnar port (`repro.hybrid.soa_pipeline`)
 runs the spanner broadcast as a real :class:`SoAProtocolClass` population
-through the shared ``_deliver_flat`` delivery tail and everything else as
+through the shared ``SyncNetwork._deliver`` delivery tail and everything else as
 flat column transforms — bit-for-bit equal to the per-node path.
 
 Measured here, on a ring-plus-chords family dense enough that the

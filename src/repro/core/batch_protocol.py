@@ -36,6 +36,7 @@ from repro.graphs.portgraph import PortGraph
 from repro.net.batch import KINDS, MessageBatch
 from repro.net.network import BatchProtocolNode, CapacityPolicy, SyncNetwork
 from repro.net.soa import SoAInbox, SoAProtocolClass
+from repro.runtime import RunContext
 
 __all__ = [
     "BatchExpanderNode",
@@ -166,6 +167,8 @@ def run_batch_expander(
     capacity: CapacityPolicy | None = None,
     engine: str = "vectorized",
     rng_mode: str = "spawn",
+    *,
+    ctx: RunContext | None = None,
 ) -> ProtocolRunResult:
     """Execute ``CreateExpander`` with batched nodes on ``graph``.
 
@@ -179,9 +182,11 @@ def run_batch_expander(
     vectorized delivery path.  ``rng_mode="shared"`` makes every node draw
     from one shared generator in node-iteration order — the discipline
     under which :func:`run_soa_expander` is bit-for-bit identical.
+    ``ctx`` is threaded into the network (workers, tracer, fault hook,
+    layout reuse).
     """
     return run_expander_on_network(
-        BatchExpanderNode, graph, params, rng, capacity, engine, rng_mode
+        BatchExpanderNode, graph, params, rng, capacity, engine, rng_mode, ctx=ctx
     )
 
 
@@ -348,6 +353,8 @@ def run_soa_expander(
     rng: np.random.Generator | None = None,
     capacity: CapacityPolicy | None = None,
     engine: str = "vectorized",
+    *,
+    ctx: RunContext | None = None,
 ) -> ProtocolRunResult:
     """Execute ``CreateExpander`` as one SoA protocol class on ``graph``.
 
@@ -362,6 +369,8 @@ def run_soa_expander(
     (schedule, metrics shape, benign invariants), exactly as between the
     object and batch tiers themselves, whose streams also intentionally
     differ.  SoA classes run on the vectorized delivery engine only.
+    ``ctx`` is threaded into the network (workers, tracer, fault hook,
+    layout reuse); every worker count gives the same execution.
     """
     if engine != "vectorized":
         raise ValueError(
@@ -372,7 +381,7 @@ def run_soa_expander(
     n, neighbors, params, capacity = prepare_network_inputs(graph, params, capacity)
     proto_rng, net_rng = rng.spawn(2)
     cls = SoAExpanderClass(n, neighbors, params, proto_rng)
-    network = SyncNetwork(cls, capacity, net_rng, engine=engine)
+    network = SyncNetwork(cls, capacity, net_rng, engine=engine, ctx=ctx)
     total_rounds = params.num_evolutions * (params.ell + 2)
     metrics = network.run(max_rounds=total_rounds + 1)
     return ProtocolRunResult(

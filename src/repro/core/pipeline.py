@@ -158,7 +158,9 @@ class OverlayBuildResult:
         return diameter(self.expander.final_graph.neighbor_sets())
 
 
-def _message_level_expander(graph, mode: str, params, rng) -> ExpanderResult:
+def _message_level_expander(
+    graph, mode: str, params, rng, ctx: RunContext | None = None
+) -> ExpanderResult:
     """Run ``CreateExpander`` message-by-message and adapt the outcome to
     the :class:`ExpanderResult` shape the rest of the pipeline consumes.
 
@@ -174,7 +176,7 @@ def _message_level_expander(graph, mode: str, params, rng) -> ExpanderResult:
         "batch": run_batch_expander,
         "soa": run_soa_expander,
     }[mode]
-    result = runner(graph, params=params, rng=rng)
+    result = runner(graph, params=params, rng=rng, ctx=ctx)
     return ExpanderResult(
         final_graph=result.final_graph,
         history=[],
@@ -276,7 +278,7 @@ def build_well_formed_tree(
                 'the "walks" expander mode (message-level nodes keep no '
                 "evolution history)"
             )
-        expander_result = _message_level_expander(graph, expander, params, rng)
+        expander_result = _message_level_expander(graph, expander, params, rng, ctx)
     message_level = expander != "walks"
 
     if verify_benign:

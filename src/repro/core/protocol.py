@@ -33,6 +33,7 @@ from repro.core.params import ExpanderParams
 from repro.net.message import Message
 from repro.net.network import CapacityPolicy, NetworkMetrics, ProtocolNode, SyncNetwork
 from repro.graphs.portgraph import PortGraph
+from repro.runtime import RunContext
 
 __all__ = [
     "ExpanderNode",
@@ -200,6 +201,8 @@ def run_expander_on_network(
     capacity: CapacityPolicy | None = None,
     engine: str = "vectorized",
     rng_mode: str = "spawn",
+    *,
+    ctx: RunContext | None = None,
 ) -> ProtocolRunResult:
     """Shared scaffold for network-driven ``CreateExpander`` runs.
 
@@ -236,7 +239,7 @@ def run_expander_on_network(
     nodes = {
         v: node_factory(v, neighbors[v], params, node_rng(v)) for v in range(n)
     }
-    network = SyncNetwork(nodes, capacity, net_rng, engine=engine)
+    network = SyncNetwork(nodes, capacity, net_rng, engine=engine, ctx=ctx)
     total_rounds = params.num_evolutions * (params.ell + 2)
     metrics = network.run(max_rounds=total_rounds + 1)
 
@@ -255,6 +258,8 @@ def run_protocol_expander(
     rng: np.random.Generator | None = None,
     capacity: CapacityPolicy | None = None,
     engine: str = "vectorized",
+    *,
+    ctx: RunContext | None = None,
 ) -> ProtocolRunResult:
     """Execute ``CreateExpander`` message-by-message on ``graph``.
 
@@ -264,6 +269,9 @@ def run_protocol_expander(
     the final evolution graph assembled from the acceptors' edge records,
     plus full network metrics.  ``engine`` selects the network delivery
     engine (``"legacy"`` is the per-message oracle; both engines produce
-    identical executions under the same seed).
+    identical executions under the same seed).  ``ctx`` is threaded into
+    the network (workers, tracer, fault hook, layout reuse).
     """
-    return run_expander_on_network(ExpanderNode, graph, params, rng, capacity, engine)
+    return run_expander_on_network(
+        ExpanderNode, graph, params, rng, capacity, engine, ctx=ctx
+    )

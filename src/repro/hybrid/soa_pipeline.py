@@ -11,7 +11,7 @@ after rooting, the expander, and the synchroniser:
 - the Elkin–Neiman broadcast runs as a real :class:`SoASpannerClass`
   population on :class:`~repro.net.network.SyncNetwork` — the emitted
   ``(source, value)`` columns travel through the exact same
-  ``_deliver_flat`` tail as every other tier, and the "heard" maps of all
+  ``SyncNetwork._deliver`` tail as every other tier, and the "heard" maps of all
   nodes live in one flat ``(node, source, value, predecessor)`` table
   merged with segment reductions;
 - degree reduction, the benign preparation, the BFS/flooding tail, and

@@ -53,7 +53,7 @@ from repro import sanitize as _sanitize
 from repro.net.batch import KINDS, MessageBatch, pair_payload
 from repro.net.message import Message
 from repro.net.soa import SoAInbox, SoAProtocolClass
-from repro.net.vectorops import group_argsort, needs_truncation, segmented_keep_indices
+from repro.net.vectorops import group_argsort, segmented_keep_indices
 
 #: Valid values for ``SyncNetwork(engine=...)`` — authoritative in
 #: :mod:`repro.runtime.context`, re-exported here for compatibility.
@@ -132,7 +132,7 @@ class _RoundLayout:
 
     An entry is keyed by the column *object* but trusted only after a
     value comparison against a defensive copy taken at store time — see
-    the alias-write guard in ``_deliver_flat``.  Entries are stored only
+    the alias-write guard in ``_verify_layout``.  Entries are stored only
     for pristine rounds (no local split, no truncation, no id mapping),
     i.e. exactly when the keyed objects are the protocol-emitted arrays
     a later round could re-emit.
@@ -145,8 +145,7 @@ class _RoundLayout:
         "rcv_s",
         "recv_counts",
         "recv_max",
-        "seg_starts",
-        "seg_nodes",
+        "seg",
         "shard_gen",
         "snd",
         "snd_copy",
@@ -166,7 +165,7 @@ class _RoundLayout:
         self.rcv_s = None
         self.recv_counts = None
         self.recv_max = 0
-        self.seg_starts = self.seg_nodes = None
+        self.seg = None
         self.shard_gen = None
         self.no_local = False
 
@@ -176,6 +175,209 @@ class _RoundLayout:
         self.sent_counts = None
         self.sent_max = 0
         self.no_local = False
+
+
+def _rows(col, sel):
+    return None if col is None else col[sel]
+
+
+def _count(keys: np.ndarray, n: int):
+    counts = np.bincount(keys, minlength=n)
+    return counts, int(counts.max())
+
+
+@dataclass(slots=True, eq=False)
+class _Lanes:
+    """One round's traffic as parallel columns: the delivery tail's record.
+
+    ``rcv`` (receiver ids, node indices once mapped) and ``snd`` (sender
+    indices) are always arrays.  The other lanes follow
+    :class:`SoAInbox`'s conventions: ``kinds`` is a scalar code for a
+    uniform round or a column; ``pay2`` is the optional pair-payload lane.
+    The remaining lanes exist only for object-node interop: ``pay`` is
+    ``None`` only on object-only rounds (no batch node can receive, so
+    ``objs`` carries everything); ``ok`` marks payloads a batch node can
+    accept (``None``: all of them); ``has2`` marks rows that carry
+    ``pay2`` (``None``: every row does); ``objs`` holds the emitted
+    :class:`Message` of object-node rows and ``None`` for batch rows.
+    An absent lane stays ``None`` through :meth:`take` and :meth:`concat`
+    and is never materialised.
+    """
+
+    rcv: np.ndarray
+    snd: np.ndarray
+    kinds: int | np.ndarray
+    pay: np.ndarray | None
+    ok: np.ndarray | None = None
+    pay2: np.ndarray | None = None
+    has2: np.ndarray | None = None
+    objs: list[Message | None] | None = None
+
+    @classmethod
+    def from_messages(cls, msgs: list[Message], sender: int, codes: bool) -> "_Lanes":
+        """Pack one object node's messages.  Kind codes and payload lanes
+        are built only when ``codes`` is set, i.e. when some batch node
+        could receive them; otherwise the objects travel alone."""
+        k = len(msgs)
+        rcv = np.fromiter((m.receiver for m in msgs), dtype=np.int64, count=k)
+        snd = np.full(k, sender, dtype=np.int64)
+        if not codes:
+            return cls(rcv, snd, 0, None, objs=msgs)
+        kinds = np.fromiter((KINDS.code(m.kind) for m in msgs), dtype=np.int64, count=k)
+        pay = np.zeros(k, dtype=np.int64)
+        pay2 = np.zeros(k, dtype=np.int64)
+        ok = np.ones(k, dtype=bool)
+        has2 = np.zeros(k, dtype=bool)
+        for i, m in enumerate(msgs):
+            if isinstance(m.payload, (int, np.integer)):
+                pay[i] = int(m.payload)
+            elif (pair := pair_payload(m.payload)) is None:
+                ok[i] = False
+            else:
+                pay[i], pay2[i] = pair
+                has2[i] = True
+        some2 = bool(has2.any())
+        return cls(
+            rcv,
+            snd,
+            kinds,
+            pay,
+            None if ok.all() else ok,
+            pay2 if some2 else None,
+            has2 if some2 and not has2.all() else None,
+            msgs,
+        )
+
+    @classmethod
+    def from_batch(cls, batch: MessageBatch, snd: np.ndarray) -> "_Lanes":
+        """A batch's columns as they are, with ``snd`` as sender indices."""
+        kinds = batch.kinds
+        if type(kinds) is not np.ndarray:
+            kinds = int(kinds)
+        return cls(batch.receivers, snd, kinds, batch.payloads, pay2=batch.payloads2)
+
+    def __len__(self) -> int:
+        return self.rcv.shape[0]
+
+    def take(self, sel: np.ndarray) -> "_Lanes":
+        """Rows ``sel`` (a selection or a permutation), in ``sel``'s order.
+        The results are always fresh arrays, which is what the layout
+        cache's identity checks rely on."""
+        return self.take_rows(sel, self.rcv[sel], self.snd[sel])
+
+    def take_rows(self, sel: np.ndarray, rcv, snd) -> "_Lanes":
+        """:meth:`take` with the key columns already gathered (the layout
+        cache keeps the sorted ones)."""
+        kinds = self.kinds
+        return _Lanes(
+            rcv,
+            snd,
+            kinds[sel] if type(kinds) is np.ndarray else kinds,
+            _rows(self.pay, sel),
+            _rows(self.ok, sel),
+            _rows(self.pay2, sel),
+            _rows(self.has2, sel),
+            None if self.objs is None else [self.objs[i] for i in sel.tolist()],
+        )
+
+    @classmethod
+    def concat(cls, parts: list["_Lanes"]) -> "_Lanes":
+        """Row-wise concatenation; a single non-empty part is returned as
+        is, keeping its columns' identity.  Equal scalar kinds stay
+        scalar.  A lane some part lacks is filled only when another part
+        carries it: zeros for payloads, ones for ``ok``, ``None`` objects,
+        and ``has2`` marks exactly the rows that brought a ``pay2``."""
+        parts = [p for p in parts if len(p)]
+        if len(parts) == 1:
+            return parts[0]
+
+        def lane(name, fill, force=False):
+            cols = [getattr(p, name) for p in parts]
+            if not force and all(c is None for c in cols):
+                return None
+            return np.concatenate(
+                [fill(p) if c is None else c for p, c in zip(parts, cols)]
+            )
+
+        kinds = parts[0].kinds
+        if not all(type(p.kinds) is not np.ndarray and p.kinds == kinds for p in parts):
+            kinds = np.concatenate([np.broadcast_to(p.kinds, len(p)) for p in parts])
+        pay2 = lane("pay2", lambda p: np.zeros(len(p), dtype=np.int64))
+        has2 = None
+        if pay2 is not None:
+            has2 = lane(
+                "has2",
+                lambda p: np.full(len(p), p.pay2 is not None),
+                force=any(p.pay2 is None for p in parts),
+            )
+        objs = None
+        if any(p.objs is not None for p in parts):
+            objs = [o for p in parts for o in (p.objs or [None] * len(p))]
+        return cls(
+            lane("rcv", None),
+            lane("snd", None),
+            kinds,
+            lane("pay", lambda p: np.zeros(len(p), dtype=np.int64)),
+            lane("ok", lambda p: np.ones(len(p), dtype=bool)),
+            pay2,
+            has2,
+            objs,
+        )
+
+    def shardable(self) -> bool:
+        """Only key and integer payload lanes: what the shard pool moves."""
+        return (
+            type(self.kinds) is not np.ndarray
+            and self.pay is not None
+            and all(lane is None for lane in (self.ok, self.has2, self.objs))
+        )
+
+    def check_int64(self, what: str) -> None:
+        """Sanitize mode: int64 end to end (RL303's runtime twin) — a
+        narrowed lane silently wraps ids/payloads at scale."""
+        for name in ("rcv", "snd", "kinds", "pay", "pay2"):
+            col = getattr(self, name)
+            if isinstance(col, np.ndarray):
+                _sanitize.check_int64(f"{what} {name}", col)
+
+    def batch(self, s: int, e: int, nid: int, snd_real, rcv_real) -> MessageBatch:
+        """Rows ``[s, e)`` as the inbox of batch node ``nid``."""
+        if self.ok is not None and not self.ok[s:e].all():
+            raise TypeError(
+                f"batch node {nid} received a message whose payload is "
+                f"neither an integer nor an integer pair"
+            )
+        # Attach the secondary lane iff some message in the group carries
+        # it — the rule ``MessageBatch.from_messages`` (and hence the
+        # legacy engine) applies to mixed inboxes.
+        pay2 = None
+        if self.pay2 is not None and (self.has2 is None or bool(self.has2[s:e].any())):
+            pay2 = self.pay2[s:e]
+        kinds = self.kinds
+        return MessageBatch._raw(
+            snd_real[s:e],
+            rcv_real[s:e],
+            kinds[s:e] if type(kinds) is np.ndarray else kinds,
+            self.pay[s:e],
+            pay2,
+        )
+
+    def messages(self, s: int, e: int, nid: int, snd_real) -> list[Message]:
+        """Rows ``[s, e)`` as the inbox of object node ``nid``: emitted
+        objects pass through, batch rows become :class:`Message` s."""
+        kinds, pay, pay2, has2 = self.kinds, self.pay, self.pay2, self.has2
+        out = []
+        for i in range(s, e):
+            obj = None if self.objs is None else self.objs[i]
+            if obj is None:
+                code = kinds[i] if type(kinds) is np.ndarray else kinds
+                if pay2 is not None and (has2 is None or has2[i]):
+                    payload = (int(pay[i]), int(pay2[i]))
+                else:
+                    payload = int(pay[i])
+                obj = Message(int(snd_real[i]), nid, KINDS.name(int(code)), payload)
+            out.append(obj)
+        return out
 
 
 @dataclass(frozen=True)
@@ -947,188 +1149,29 @@ class SyncNetwork:
             self._pending[nid].extend(msgs)
 
     # ------------------------------------------------------------------
-    # Vectorized engine: flat index buffers + segment truncation.
+    # Vectorized engine: one lane record through a fixed stage list.
     # ------------------------------------------------------------------
     def _deliver_vectorized(self, outputs) -> None:
         """Array-path delivery (pack phase).
 
-        The round's traffic is packed into flat parallel columns (sender
-        index, receiver id, kind code, payload) in canonical order and
-        handed to :meth:`_deliver_flat` — the shared tail that also
-        serves the SoA tier, so every representation consumes the
-        delivery RNG identically.
+        Each node's output becomes one :class:`_Lanes` part in canonical
+        order; the concatenation enters :meth:`_deliver` — the shared
+        tail that also serves the SoA tier, so every representation
+        consumes the delivery RNG identically.
         """
         index = self._index
-        build_codes = self._any_batch
-
-        # ---- pack ------------------------------------------------------
-        # The dominant case (pure batch traffic, one message kind per
-        # round — exactly what the protocol schedule produces) skips the
-        # kind column entirely: ``round_kind`` carries the single code.
-        rcv_chunks: list[np.ndarray] = []
-        chunk_sender: list[int] = []
-        chunk_len: list[int] = []
-        obj_chunks: list[list[Message] | None] = []
-        kind_chunks: list = []  # array or scalar per chunk
-        pay_chunks: list = []
-        pay_ok_chunks: list = []  # True (all ok) or bool array
-        pay2_chunks: list = []  # None (no lane) or int64 array per chunk
-        has2_chunks: list = []  # False / True (whole chunk) or bool array
-        any_objs = False
-        any_pay_bad = False
-        any_pay2 = False
-        round_kind: int | None = None
-        uniform_kinds = True
-
+        codes = self._any_batch
+        parts = []
         for nid, produced in outputs:
             if type(produced) is list:
-                k = len(produced)
-                rcv_chunks.append(
-                    np.fromiter((m.receiver for m in produced), dtype=np.int64, count=k)
-                )
-                chunk_sender.append(index[nid])
-                chunk_len.append(k)
-                obj_chunks.append(produced)
-                any_objs = True
-                uniform_kinds = False
-                if build_codes:
-                    kind_chunks.append(
-                        np.fromiter(
-                            (KINDS.code(m.kind) for m in produced), dtype=np.int64, count=k
-                        )
-                    )
-                    pays = np.zeros(k, dtype=np.int64)
-                    ok = np.ones(k, dtype=bool)
-                    pays2 = None
-                    has2 = None
-                    for i, m in enumerate(produced):
-                        if isinstance(m.payload, (int, np.integer)):
-                            pays[i] = int(m.payload)
-                        else:
-                            pair = pair_payload(m.payload)
-                            if pair is None:
-                                ok[i] = False
-                                any_pay_bad = True
-                            else:
-                                if pays2 is None:
-                                    pays2 = np.zeros(k, dtype=np.int64)
-                                    has2 = np.zeros(k, dtype=bool)
-                                pays[i], pays2[i] = pair
-                                has2[i] = True
-                    pay_chunks.append(pays)
-                    pay_ok_chunks.append(True if ok.all() else ok)
-                    if pays2 is None:
-                        pay2_chunks.append(None)
-                        has2_chunks.append(False)
-                    else:
-                        any_pay2 = True
-                        pay2_chunks.append(pays2)
-                        has2_chunks.append(True if has2.all() else has2)
-                else:
-                    kind_chunks.append(0)
-                    pay_chunks.append(None)
-                    pay_ok_chunks.append(True)
-                    pay2_chunks.append(None)
-                    has2_chunks.append(False)
+                parts.append(_Lanes.from_messages(produced, index[nid], codes))
             else:
-                kinds = produced.kinds
-                if type(kinds) is np.ndarray:
-                    uniform_kinds = False
-                elif round_kind is None:
-                    round_kind = kinds
-                elif kinds != round_kind:
-                    uniform_kinds = False
-                rcv_chunks.append(produced.receivers)
-                chunk_sender.append(index[nid])
-                chunk_len.append(produced.receivers.shape[0])
-                obj_chunks.append(None)
-                kind_chunks.append(kinds)
-                pay_chunks.append(produced.payloads)
-                pay_ok_chunks.append(True)
-                pay2_chunks.append(produced.payloads2)
-                if produced.payloads2 is None:
-                    has2_chunks.append(False)
-                else:
-                    any_pay2 = True
-                    has2_chunks.append(True)
-
-        if not rcv_chunks:
+                snd = np.full(len(produced), index[nid], dtype=np.int64)
+                parts.append(_Lanes.from_batch(produced, snd))
+        if not parts:
             self._pending_count = 0
             return
-        uniform_kinds = uniform_kinds and round_kind is not None
-
-        # ---- flatten ---------------------------------------------------
-        rcv_all = rcv_chunks[0] if len(rcv_chunks) == 1 else np.concatenate(rcv_chunks)
-        snd_all = np.repeat(
-            np.asarray(chunk_sender, dtype=np.int64),
-            np.asarray(chunk_len, dtype=np.int64),
-        )
-        m_total = rcv_all.shape[0]
-
-        objs: list[Message | None] | None = None
-        if any_objs:
-            objs = []
-            for length, rem in zip(chunk_len, obj_chunks):
-                objs.extend(rem if rem is not None else [None] * length)
-
-        kind_all = pay_all = pay_ok_all = None
-        if uniform_kinds:
-            # Pure-batch uniform round: payload column by concatenation,
-            # no kind column at all.
-            pay_all = (
-                pay_chunks[0] if len(pay_chunks) == 1 else np.concatenate(pay_chunks)
-            )
-        elif build_codes:
-            kind_all = np.empty(m_total, dtype=np.int64)
-            pay_all = np.empty(m_total, dtype=np.int64)
-            offset = 0
-            for length, kinds, pays in zip(chunk_len, kind_chunks, pay_chunks):
-                kind_all[offset : offset + length] = kinds
-                if pays is not None:
-                    pay_all[offset : offset + length] = pays
-                offset += length
-            if any_pay_bad:
-                pay_ok_all = np.ones(m_total, dtype=bool)
-                offset = 0
-                for length, ok in zip(chunk_len, pay_ok_chunks):
-                    if ok is not True:
-                        pay_ok_all[offset : offset + length] = ok
-                    offset += length
-
-        # ---- secondary payload lane (pair payloads) --------------------
-        # ``pay2_all`` zero-fills lane-less traffic; ``pay2_has_all`` is the
-        # per-message presence mask, or None when the whole round carries
-        # the lane (the common case: one pair-payload protocol per round).
-        pay2_all = pay2_has_all = None
-        if any_pay2:
-            pay2_all = np.zeros(m_total, dtype=np.int64)
-            offset = 0
-            for length, pays2 in zip(chunk_len, pay2_chunks):
-                if pays2 is not None:
-                    pay2_all[offset : offset + length] = pays2
-                offset += length
-            if not all(h is True for h in has2_chunks):
-                pay2_has_all = np.zeros(m_total, dtype=bool)
-                offset = 0
-                for length, has2 in zip(chunk_len, has2_chunks):
-                    if has2 is True:
-                        pay2_has_all[offset : offset + length] = True
-                    elif has2 is not False:
-                        pay2_has_all[offset : offset + length] = has2
-                    offset += length
-
-        self._deliver_flat(
-            rcv_all,
-            snd_all,
-            kind_all,
-            pay_all,
-            pay_ok_all,
-            pay2_all,
-            pay2_has_all,
-            objs,
-            round_kind,
-            uniform_kinds,
-        )
+        self._deliver(_Lanes.concat(parts))
 
     # ------------------------------------------------------------------
     # SoA engine entry: one batch carries the whole population's round.
@@ -1144,40 +1187,16 @@ class SyncNetwork:
         if produced is None or produced.receivers.shape[0] == 0:
             self._pending_count = 0
             return
-        rcv_all = produced.receivers
-        m = rcv_all.shape[0]
-        senders = produced.senders
-        if type(senders) is not np.ndarray:
-            snd_all = np.full(m, int(senders), dtype=np.int64)
-        else:
-            snd_all = senders
-        if snd_all.shape[0] != m:
+        snd = produced.senders_array()
+        if snd.shape[0] != produced.receivers.shape[0]:
             raise ValueError("SoA batch senders column must match receivers")
-        if _sanitize.ENABLED or not (
-            self._reuse_layouts and snd_all is self._layout.snd
-        ):
+        if _sanitize.ENABLED or snd is not self._layout.snd:
             # Identity-stable sender columns were validated when cached;
-            # the alias-write guard in _deliver_flat re-validates if the
-            # values turn out to have changed underneath the identity.
-            # Sanitize mode re-checks every round regardless.
-            self._require_ascending_senders(snd_all)
-        kinds = produced.kinds
-        if type(kinds) is np.ndarray:
-            round_kind, kind_all, uniform_kinds = None, kinds, False
-        else:
-            round_kind, kind_all, uniform_kinds = int(kinds), None, True
-        self._deliver_flat(
-            rcv_all,
-            snd_all,
-            kind_all,
-            produced.payloads,
-            None,
-            produced.payloads2,
-            None,
-            None,
-            round_kind,
-            uniform_kinds,
-        )
+            # _verify_layout re-validates if the values turn out to have
+            # changed underneath the identity.  Sanitize mode re-checks
+            # every round regardless.
+            self._require_ascending_senders(snd)
+        self._deliver(_Lanes.from_batch(produced, snd))
 
     def _require_ascending_senders(self, snd_all: np.ndarray) -> None:
         if (
@@ -1201,482 +1220,276 @@ class SyncNetwork:
         return pool
 
     # ------------------------------------------------------------------
-    # Shared delivery tail: local split, truncation, metrics, assembly.
+    # Shared delivery tail: a fixed sequence of stages over one record.
     # ------------------------------------------------------------------
-    def _deliver_flat(
-        self,
-        rcv_all,
-        snd_all,
-        kind_all,
-        pay_all,
-        pay_ok_all,
-        pay2_all,
-        pay2_has_all,
-        objs,
-        round_kind,
-        uniform_kinds,
-    ) -> None:
-        """Deliver one round packed as flat parallel columns.
+    def _deliver(self, lanes: _Lanes) -> None:
+        """Deliver one round packed as a :class:`_Lanes` record.
 
-        Self-addressed messages are split off with one vectorized mask,
-        capacity truncation runs on index buffers via
-        :func:`segmented_keep_indices`, and inboxes are cut as *views* of
-        receiver-sorted columns (or kept whole as the next
-        :class:`SoAInbox`) — per-message Python work only happens for
-        object-node interop.
+        Stages, in order: verify the layout cache, split off local
+        traffic, fault hook, send cap, map receivers, receive cap,
+        prepend local, group by receiver, assemble inboxes.  Truncation
+        runs on index buffers via :func:`segmented_keep_indices`; inboxes
+        are cut as views of receiver-sorted columns (or kept whole as the
+        next :class:`SoAInbox`), so per-message Python work only happens
+        for object-node interop.
         """
-        cap = self.capacity
-        metrics = self._metrics
-        n = self._n
-        ids = self._ids
-        contiguous = self._contiguous
-        m_total = rcv_all.shape[0]
-        lay = self._layout
-        reuse = self._reuse_layouts
-        entry_rcv, entry_snd = rcv_all, snd_all
-
         if _sanitize.ENABLED:
-            # int64 end to end: a narrowed lane (RL303's runtime twin)
-            # silently wraps ids/payloads at scale.
-            _sanitize.check_int64("receivers", rcv_all)
-            _sanitize.check_int64("senders", snd_all)
-            _sanitize.check_int64("kinds", kind_all)
-            _sanitize.check_int64("payloads", pay_all)
-            _sanitize.check_int64("payloads2", pay2_all)
+            lanes.check_int64("entering")
+        entry_rcv = lanes.rcv
+        self._verify_layout(lanes)
+        lanes, local = self._split_local(lanes)
+        lanes = self._apply_faults(lanes)
+        lanes, sent = self._cap_send(lanes)
+        self._map_receivers(lanes)
+        lanes, recv = self._cap_receive(lanes)
+        no_local = local is None
+        if not no_local:
+            # Local messages sort ahead of remote ones for the same
+            # receiver (stable sort ⇒ legacy's local-first order).
+            lanes = _Lanes.concat([local, lanes])
+        self._pending_count = len(lanes)
+        if len(lanes):
+            grouped, seg = self._group(lanes, no_local, entry_rcv, sent, recv)
+            self._assemble(grouped, seg)
 
-        # ---- alias-write guard over the layout cache -------------------
-        # Identity alone can lie: an emitter may mutate a re-emitted
-        # column through a *different view of the same base* (the frozen
-        # writeable flag only guards the cached view itself).  An identity
-        # hit is therefore only trusted after a value comparison against
-        # the defensive copy taken at store time; a mismatch invalidates
-        # that side and the round falls back to a fresh sort — never a
-        # silent misdelivery through a stale permutation.
-        rcv_ok = snd_ok = False
-        if reuse:
-            if rcv_all is lay.rcv:
-                if np.array_equal(rcv_all, lay.rcv_copy):
-                    rcv_ok = True
-                else:
-                    lay.clear_rcv()
-            if snd_all is lay.snd:
-                if np.array_equal(snd_all, lay.snd_copy):
-                    snd_ok = True
-                else:
-                    lay.clear_snd()
-                    if self._soa is not None:
-                        # _deliver_soa skipped its canonical-order check
-                        # on the identity hit; the values changed, so it
-                        # must be re-run on what is actually there.
-                        self._require_ascending_senders(snd_all)
-        elif rcv_all is lay.rcv:
-            # Legacy cache mode (REPRO_SOA_LAYOUT_REUSE=0): identity-only
-            # reuse of the sort permutation, nothing else.
-            rcv_ok = True
+    def _verify_layout(self, lanes: _Lanes) -> None:
+        """Alias-write guard over the layout cache.
 
-        # ---- split off self-addressed traffic (bypasses the network) ---
-        if rcv_ok and snd_ok and lay.no_local:
-            # Verified-unchanged round layout: the store round proved this
-            # sender/receiver pair carries no self-addressed traffic.
-            local_mask = None
-        else:
-            snd_real = snd_all if contiguous else ids[snd_all]
-            local_mask = rcv_all == snd_real
-        if local_mask is not None and local_mask.any():
-            loc_sel = np.flatnonzero(local_mask)
-            rem_sel = np.flatnonzero(~local_mask)
-            loc_rcv_idx = snd_all[loc_sel]
-            loc_kind = kind_all[loc_sel] if kind_all is not None else None
-            loc_pay = pay_all[loc_sel] if pay_all is not None else None
-            loc_ok = pay_ok_all[loc_sel] if pay_ok_all is not None else None
-            loc_pay2 = pay2_all[loc_sel] if pay2_all is not None else None
-            loc_has2 = pay2_has_all[loc_sel] if pay2_has_all is not None else None
-            loc_objs = [objs[i] for i in loc_sel.tolist()] if objs is not None else None
-            rcv_all = rcv_all[rem_sel]
-            snd_all = snd_all[rem_sel]
-            if kind_all is not None:
-                kind_all = kind_all[rem_sel]
-            if pay_all is not None:
-                pay_all = pay_all[rem_sel]
-            if pay_ok_all is not None:
-                pay_ok_all = pay_ok_all[rem_sel]
-            if pay2_all is not None:
-                pay2_all = pay2_all[rem_sel]
-            if pay2_has_all is not None:
-                pay2_has_all = pay2_has_all[rem_sel]
-            if objs is not None:
-                objs = [objs[i] for i in rem_sel.tolist()]
-            m_total = rcv_all.shape[0]
-            loc_count = loc_rcv_idx.shape[0]
-            rcv_ok = snd_ok = False  # columns rebound to fresh arrays
-        else:
-            loc_rcv_idx = None
-            loc_kind = loc_pay = loc_ok = loc_pay2 = loc_has2 = loc_objs = None
-            loc_count = 0
-
-        def select(keep: np.ndarray):
-            nonlocal rcv_all, snd_all, objs, kind_all, pay_all, pay_ok_all, m_total
-            nonlocal pay2_all, pay2_has_all, rcv_ok, snd_ok
-            rcv_ok = snd_ok = False
-            rcv_all = rcv_all[keep]
-            snd_all = snd_all[keep]
-            if objs is not None:
-                objs = [objs[i] for i in keep.tolist()]
-            if kind_all is not None:
-                kind_all = kind_all[keep]
-            if pay_all is not None:
-                pay_all = pay_all[keep]
-            if pay_ok_all is not None:
-                pay_ok_all = pay_ok_all[keep]
-            if pay2_all is not None:
-                pay2_all = pay2_all[keep]
-            if pay2_has_all is not None:
-                pay2_has_all = pay2_has_all[keep]
-            m_total = rcv_all.shape[0]
-
-        # ---- adversarial faults ---------------------------------------
-        # Oblivious drops (crash isolation, partitions, link loss) act on
-        # the surviving remote columns in canonical order — the identical
-        # hook point as the legacy engine, before capacity truncation, so
-        # every tier sees the same fault stream under a shared seed.
-        if self.fault_hook is not None and m_total:
-            snd_ids = snd_all if contiguous else ids[snd_all]
-            keep = self._run_fault_hook(snd_ids, rcv_all)
-            if keep is not None:
-                kept = _fault_keep_indices(keep, m_total)
-                if kept.size != m_total:
-                    metrics.fault_drops += m_total - kept.size
-                    select(kept)
-
-        # ---- send capacity + sent metrics (one shared bincount) -------
-        if m_total:
-            if snd_ok and lay.sent_counts is not None:
-                sent_counts, sent_max = lay.sent_counts, lay.sent_max
-            else:
-                sent_counts = np.bincount(snd_all, minlength=n)
-                sent_max = int(sent_counts.max())
-            if cap.max_send is not None and sent_max > cap.max_send:
-                keep = segmented_keep_indices(snd_all, cap.max_send, self.rng)
-                metrics.send_drops += m_total - keep.size
-                select(keep)
-                if m_total:
-                    sent_counts = np.bincount(snd_all, minlength=n)
-                    sent_max = int(sent_counts.max())
-            if m_total:
-                self._sent_counts += sent_counts
-                self._counts_dirty = True
-                metrics.max_sent_per_round = max(
-                    metrics.max_sent_per_round, sent_max
-                )
-        else:
-            sent_counts, sent_max = None, 0
-        metrics.total_messages += m_total
-
-        # ---- receiver mapping -----------------------------------------
-        if m_total:
-            if contiguous:
-                if not rcv_ok:  # verified-unchanged columns passed before
-                    invalid = (rcv_all < 0) | (rcv_all >= n)
-                    if invalid.any():
-                        raise KeyError(
-                            f"message addressed to unknown node {int(rcv_all[int(invalid.argmax())])}"
-                        )
-                rcv_idx = rcv_all
-            else:
-                pos = np.searchsorted(self._sorted_ids, rcv_all)
-                pos_clip = np.minimum(pos, max(n - 1, 0))
-                invalid = (pos >= n) | (self._sorted_ids[pos_clip] != rcv_all)
-                if invalid.any():
-                    raise KeyError(
-                        f"message addressed to unknown node {int(rcv_all[int(invalid.argmax())])}"
-                    )
-                rcv_idx = self._sort_order[pos]
-        else:
-            rcv_idx = rcv_all
-
-        # ---- receive capacity + recv metrics (one shared bincount) ----
-        if m_total:
-            if rcv_ok and contiguous and lay.recv_counts is not None:
-                recv_counts, recv_max = lay.recv_counts, lay.recv_max
-            else:
-                recv_counts = np.bincount(rcv_idx, minlength=n)
-                recv_max = int(recv_counts.max())
-            if cap.max_receive is not None and recv_max > cap.max_receive:
-                keep = segmented_keep_indices(rcv_idx, cap.max_receive, self.rng)
-                metrics.receive_drops += m_total - keep.size
-                rcv_idx = rcv_idx[keep]
-                select(keep)
-                if m_total:
-                    recv_counts = np.bincount(rcv_idx, minlength=n)
-                    recv_max = int(recv_counts.max())
-            if m_total:
-                self._recv_counts += recv_counts
-                self._counts_dirty = True
-                metrics.max_received_per_round = max(
-                    metrics.max_received_per_round, recv_max
-                )
-        else:
-            recv_counts = None
-
-        # ---- inbox assembly (local first, canonical order after) ------
-        if loc_count:
-            # Prepend local messages so they sort ahead of remote ones for
-            # the same receiver (stable sort ⇒ legacy's local-first order).
-            rcv_idx = np.concatenate([loc_rcv_idx, rcv_idx])
-            snd_all = np.concatenate([loc_rcv_idx, snd_all])
-            if kind_all is not None:
-                kind_all = np.concatenate([loc_kind, kind_all])
-            if pay_all is not None:
-                pay_all = np.concatenate([loc_pay, pay_all])
-            if pay2_all is not None:
-                # Local and remote lanes always co-exist (both derive from
-                # the same pack), so no zero-fill is needed here.
-                pay2_all = np.concatenate([loc_pay2, pay2_all])
-                if pay2_has_all is not None:
-                    pay2_has_all = np.concatenate([loc_has2, pay2_has_all])
-            if pay_ok_all is not None or loc_ok is not None:
-                ones = lambda k: np.ones(k, dtype=bool)  # noqa: E731
-                pay_ok_all = np.concatenate(
-                    [
-                        loc_ok if loc_ok is not None else ones(loc_count),
-                        pay_ok_all if pay_ok_all is not None else ones(m_total),
-                    ]
-                )
-            if objs is not None:
-                objs = loc_objs + objs
-            m_total += loc_count
-
-        self._pending_count = m_total
-        if not m_total:
+        Identity alone can lie: an emitter may mutate a re-emitted column
+        through a *different view of the same base* (the frozen writeable
+        flag only guards the cached view itself).  An identity hit is
+        therefore only trusted after a value comparison against the
+        defensive copy taken at store time; a mismatch invalidates that
+        side, so the round falls back to a fresh sort — never a silent
+        misdelivery through a stale permutation.  Every later stage reads
+        ``lanes.rcv is layout.rcv`` (resp. ``snd``) as "verified
+        unchanged": stages that drop rows produce fresh arrays.  The
+        identity-only arm (``layout_reuse=False``) trusts identity alone.
+        """
+        lay = self._layout
+        if not self._reuse_layouts:
             return
+        if lanes.rcv is lay.rcv and not np.array_equal(lanes.rcv, lay.rcv_copy):
+            lay.clear_rcv()
+        if lanes.snd is lay.snd and not np.array_equal(lanes.snd, lay.snd_copy):
+            lay.clear_snd()
+            if self._soa is not None:
+                # _deliver_soa skipped its canonical-order check on the
+                # identity hit; the values changed, so it must be re-run.
+                self._require_ascending_senders(lanes.snd)
 
-        # ---- receiver-grouping layout ---------------------------------
-        # Rounds that re-emit identity-stable (and value-verified) column
-        # objects — flooding protocols announcing over a fixed adjacency
-        # every round — reuse the previous receiver-sorted layout
-        # wholesale: permutation, sorted key columns, segment offsets.
-        # Only the payload lanes are re-gathered, which is what removes
-        # the per-round re-sort from the n=10⁶..10⁷ SoA runs.  Fresh
-        # layouts sort in-process, or in receiver-range shards on the
-        # worker pool when ``workers > 1`` (bit-for-bit identical — see
-        # repro.net.shard for the stability argument).
-        simple_lanes = (
-            kind_all is None
-            and pay_ok_all is None
-            and pay2_has_all is None
-            and objs is None
-            and pay_all is not None
+    def _split_local(self, lanes: _Lanes):
+        """Split off self-addressed traffic: it bypasses the network."""
+        lay = self._layout
+        if lanes.rcv is lay.rcv and lanes.snd is lay.snd and lay.no_local:
+            # The store round proved this sender/receiver pair carries
+            # no self-addressed traffic.
+            return lanes, None
+        snd_real = lanes.snd if self._contiguous else self._ids[lanes.snd]
+        mask = lanes.rcv == snd_real
+        if not mask.any():
+            return lanes, None
+        local = lanes.take(np.flatnonzero(mask))
+        local.rcv = local.snd  # receiver index == sender index
+        return lanes.take(np.flatnonzero(~mask)), local
+
+    def _apply_faults(self, lanes: _Lanes) -> _Lanes:
+        """Oblivious drops (crash isolation, partitions, link loss) on the
+        remote rows in canonical order — the legacy engine's hook point,
+        before capacity truncation, so every tier sees the same fault
+        stream under a shared seed."""
+        m = len(lanes)
+        if self.fault_hook is None or not m:
+            return lanes
+        snd_ids = lanes.snd if self._contiguous else self._ids[lanes.snd]
+        keep = self._run_fault_hook(snd_ids, lanes.rcv)
+        if keep is None:
+            return lanes
+        kept = _fault_keep_indices(keep, m)
+        if kept.size == m:
+            return lanes
+        self._metrics.fault_drops += m - kept.size
+        return lanes.take(kept)
+
+    def _truncate(self, lanes: _Lanes, key: str, cap: int | None, cached, totals):
+        """Keep a uniform subset of at most ``cap`` rows per ``key`` node
+        (one permutation draw, only when a bound binds), then add the
+        per-node counts into ``totals``.
+
+        Returns ``(lanes, (counts, max), dropped)``; ``cached`` is a
+        verified ``(counts, max)`` from the layout cache, and an empty
+        round counts ``(None, 0)``.
+        """
+        m = len(lanes)
+        if not m:
+            return lanes, (None, 0), 0
+        counts = cached or _count(getattr(lanes, key), self._n)
+        if cap is not None and counts[1] > cap:
+            keep = segmented_keep_indices(getattr(lanes, key), cap, self.rng)
+            lanes = lanes.take(keep)
+            if not keep.size:
+                return lanes, (None, 0), m
+            counts = _count(getattr(lanes, key), self._n)
+        totals += counts[0]
+        self._counts_dirty = True
+        return lanes, counts, m - len(lanes)
+
+    def _cap_send(self, lanes: _Lanes):
+        lay = self._layout
+        cached = (lay.sent_counts, lay.sent_max) if lanes.snd is lay.snd else None
+        lanes, sent, dropped = self._truncate(
+            lanes, "snd", self.capacity.max_send, cached, self._sent_counts
         )
-        pool = self._shards
-        if rcv_ok and rcv_idx is lay.rcv and lay.order is not None:
-            if self._round_trace is not None:
-                self._layout_hit = True
-            order = lay.order
-            rcv_s = lay.rcv_s if lay.rcv_s is not None else rcv_idx[order]
-            seg = (
-                (lay.seg_starts, lay.seg_nodes)
-                if lay.seg_starts is not None
-                else None
-            )
-            if snd_ok and snd_all is lay.snd and lay.snd_s is not None:
-                snd_s = lay.snd_s
-            else:
-                snd_s = snd_all[order]
-            kind_s = ok_s = has2_s = objs_s = None
-            if (
-                simple_lanes
-                and pool is not None
-                and lay.shard_gen is not None
-                and lay.shard_gen == pool.gen
-            ):
-                pay_s, pay2_s = pool.gather_payloads(
-                    m_total, pay_all, pay2_all, lay.shard_gen
-                )
-            else:
-                kind_s = kind_all[order] if kind_all is not None else None
-                pay_s = pay_all[order] if pay_all is not None else None
-                ok_s = pay_ok_all[order] if pay_ok_all is not None else None
-                pay2_s = pay2_all[order] if pay2_all is not None else None
-                has2_s = (
-                    pay2_has_all[order] if pay2_has_all is not None else None
-                )
-                objs_s = (
-                    [objs[i] for i in order.tolist()] if objs is not None else None
-                )
-        else:
-            sharded = (
-                self._workers > 1
-                and self._soa is not None
-                and loc_count == 0
-                and simple_lanes
-                and recv_counts is not None
-            )
-            if sharded:
-                if pool is None:
-                    pool = self._shard_pool(m_total)
-                order, rcv_s, snd_s, pay_s, pay2_s = pool.sort_round(
-                    rcv_idx, snd_all, pay_all, pay2_all, recv_counts
-                )
-                kind_s = ok_s = has2_s = objs_s = None
-            else:
-                order = group_argsort(rcv_idx, n)
-                rcv_s = rcv_idx[order]
-                snd_s = snd_all[order]
-                kind_s = kind_all[order] if kind_all is not None else None
-                pay_s = pay_all[order] if pay_all is not None else None
-                ok_s = pay_ok_all[order] if pay_ok_all is not None else None
-                pay2_s = pay2_all[order] if pay2_all is not None else None
-                has2_s = (
-                    pay2_has_all[order] if pay2_has_all is not None else None
-                )
-                objs_s = (
-                    [objs[i] for i in order.tolist()] if objs is not None else None
-                )
+        metrics = self._metrics
+        metrics.send_drops += dropped
+        metrics.total_messages += len(lanes)
+        metrics.max_sent_per_round = max(metrics.max_sent_per_round, sent[1])
+        return lanes, sent
 
+    def _map_receivers(self, lanes: _Lanes) -> None:
+        """Rebind ``lanes.rcv`` from receiver ids to node indices; an
+        unknown receiver raises (first offender in canonical order)."""
+        rcv = lanes.rcv
+        n = self._n
+        if self._contiguous:
+            if rcv is self._layout.rcv:  # verified unchanged: passed before
+                return
+            invalid = (rcv < 0) | (rcv >= n)
+        else:
+            pos = np.searchsorted(self._sorted_ids, rcv)
+            invalid = (pos >= n) | (self._sorted_ids[np.minimum(pos, max(n - 1, 0))] != rcv)
+        if invalid.any():
+            raise KeyError(f"message addressed to unknown node {int(rcv[int(invalid.argmax())])}")
+        if not self._contiguous:
+            lanes.rcv = self._sort_order[pos]
+
+    def _cap_receive(self, lanes: _Lanes):
+        lay = self._layout
+        cached = None
+        if lanes.rcv is lay.rcv and self._reuse_layouts:
+            cached = (lay.recv_counts, lay.recv_max)
+        lanes, recv, dropped = self._truncate(
+            lanes, "rcv", self.capacity.max_receive, cached, self._recv_counts
+        )
+        metrics = self._metrics
+        metrics.receive_drops += dropped
+        metrics.max_received_per_round = max(metrics.max_received_per_round, recv[1])
+        return lanes, recv
+
+    def _group(self, lanes: _Lanes, no_local: bool, entry_rcv, sent, recv):
+        """Receiver-sort the round; returns ``(grouped, segments)``.
+
+        Rounds that re-emit identity-stable (and value-verified) column
+        objects — flooding protocols announcing over a fixed adjacency —
+        reuse the cached layout wholesale: permutation, sorted key
+        columns, segment offsets.  Only the payload lanes are
+        re-gathered, which removes the per-round re-sort from the
+        n=10⁶..10⁷ SoA runs.  Fresh layouts sort in-process, or in
+        receiver-range shards on the worker pool when ``workers > 1``
+        (bit-for-bit identical — see repro.net.shard).
+        ``no_local`` says no self-addressed rows were prepended.
+        """
+        lay = self._layout
+        m = len(lanes)
+        if lanes.rcv is lay.rcv:
+            self._layout_hit = True  # read by run_round on traced runs only
+            order = lay.order
+            rcv_s = lay.rcv_s if self._reuse_layouts else lanes.rcv[order]
+            snd_s = lay.snd_s if lanes.snd is lay.snd else lanes.snd[order]
+            pool = self._shards
+            if pool is not None and lay.shard_gen == pool.gen and lanes.shardable():
+                pay_s, pay2_s = pool.gather_payloads(m, lanes.pay, lanes.pay2, lay.shard_gen)
+                return _Lanes(rcv_s, snd_s, lanes.kinds, pay_s, pay2=pay2_s), lay.seg
+            return lanes.take_rows(order, rcv_s, snd_s), lay.seg
+
+        sharded = (
+            self._workers > 1
+            and self._soa is not None
+            and no_local
+            and lanes.shardable()
+        )
+        if sharded:
+            pool = self._shard_pool(m)
+            order, rcv_s, snd_s, pay_s, pay2_s = pool.sort_round(
+                lanes.rcv, lanes.snd, lanes.pay, lanes.pay2, recv[0]
+            )
+            grouped = _Lanes(rcv_s, snd_s, lanes.kinds, pay_s, pay2=pay2_s)
+        else:
+            order = group_argsort(lanes.rcv, self._n)
+            grouped = lanes.take(order)
+        seg = None
+        if no_local:
             # Receiver segment offsets fall out of the bincount for free
             # when no local messages interleave with remote groups.
-            if loc_count == 0 and recv_counts is not None:
-                seg_nodes = np.flatnonzero(recv_counts)
-                seg_starts = np.zeros(seg_nodes.shape[0], dtype=np.int64)
-                np.cumsum(recv_counts[seg_nodes][:-1], out=seg_starts[1:])
-                seg = (seg_starts, seg_nodes)
-            else:
-                seg = None
+            seg_nodes = np.flatnonzero(recv[0])
+            seg_starts = np.zeros(seg_nodes.shape[0], dtype=np.int64)
+            np.cumsum(recv[0][seg_nodes][:-1], out=seg_starts[1:])
+            seg = (seg_starts, seg_nodes)
+        self._store_layout(lanes, grouped, order, seg, entry_rcv, sent, recv, sharded)
+        return grouped, seg
 
-            if reuse:
-                # Store only pristine layouts: the keyed objects must be
-                # the protocol-emitted arrays a later round can re-emit
-                # (no local split, no truncation, no id mapping touched
-                # them).  Non-pristine rounds leave an older still-valid
-                # entry in place — flooding rounds interleaved with
-                # offer/response rounds keep hitting.
-                if rcv_idx is entry_rcv:
-                    # Freeze the cached view: direct in-place mutation of
-                    # a re-emitted receivers buffer errors immediately;
-                    # writes through other views of the same base are
-                    # caught by the value comparison at the next hit.
-                    rcv_idx.flags.writeable = False
-                    lay.rcv = rcv_idx
-                    lay.rcv_copy = rcv_idx.copy()
-                    lay.order = order
-                    lay.rcv_s = rcv_s
-                    lay.recv_counts = recv_counts
-                    lay.recv_max = recv_max
-                    lay.seg_starts, lay.seg_nodes = (
-                        seg if seg is not None else (None, None)
-                    )
-                    lay.shard_gen = pool.gen if sharded else None
-                    if snd_all is entry_snd:
-                        lay.snd = snd_all
-                        lay.snd_copy = snd_all.copy()
-                        lay.snd_s = snd_s
-                        lay.sent_counts = sent_counts
-                        lay.sent_max = sent_max
-                        lay.no_local = loc_count == 0
-                    else:
-                        lay.clear_snd()
-            elif rcv_idx is not lay.rcv:
-                # Legacy sort-only cache: identical to the pre-shard
-                # behaviour (identity-keyed permutation, frozen view).
-                rcv_idx.flags.writeable = False
-                lay.clear_rcv()
-                lay.clear_snd()
-                lay.rcv = rcv_idx
-                lay.order = order
+    def _store_layout(self, lanes, grouped, order, seg, entry_rcv, sent, recv, sharded) -> None:
+        """Cache a freshly sorted layout.
 
+        Only pristine layouts are stored: the keyed objects must be the
+        protocol-emitted arrays a later round can re-emit (no local
+        split, no truncation, no id mapping touched them).  Non-pristine
+        rounds leave an older still-valid entry in place, so flooding
+        rounds interleaved with offer/response rounds keep hitting.  The
+        cached receiver view is frozen: direct in-place mutation of a
+        re-emitted buffer errors immediately, and writes through other
+        views of the same base are caught by :meth:`_verify_layout`.
+        """
+        lay = self._layout
+        rcv = lanes.rcv
+        if not self._reuse_layouts:
+            # Identity-only arm: cache the sort permutation, nothing else.
+            rcv.flags.writeable = False
+            lay.clear_rcv()
+            lay.clear_snd()
+            lay.rcv, lay.order = rcv, order
+            return
+        if rcv is not entry_rcv:
+            return
+        rcv.flags.writeable = False
+        lay.rcv, lay.rcv_copy, lay.order, lay.rcv_s = rcv, rcv.copy(), order, grouped.rcv
+        lay.recv_counts, lay.recv_max = recv
+        lay.seg = seg
+        lay.shard_gen = self._shards.gen if sharded else None
+        # Every stage that rebinds ``snd`` rebinds ``rcv`` too, so the
+        # sender column is pristine as well.
+        lay.snd, lay.snd_copy, lay.snd_s = lanes.snd, lanes.snd.copy(), grouped.snd
+        lay.sent_counts, lay.sent_max = sent
+        lay.no_local = True
+
+    def _assemble(self, g: _Lanes, seg) -> None:
+        """Stage the receiver-sorted round as next round's inboxes."""
+        ids = self._ids
+        contiguous = self._contiguous
         if _sanitize.ENABLED:
-            # Postcondition of every layout path above (fresh sort, cache
-            # hit, sharded sort): the grouped columns are receiver-sorted.
-            # An unsorted rcv_s here means a stale permutation or a shard
-            # worker writing outside its range.
-            _sanitize.check_receiver_sorted("rcv_s", rcv_s)
-            _sanitize.check_int64("rcv_s", rcv_s)
-            _sanitize.check_int64("snd_s", snd_s)
-            _sanitize.check_int64("pay_s", pay_s)
-            _sanitize.check_int64("pay2_s", pay2_s)
-
-        snd_real_s = snd_s if contiguous else ids[snd_s]
-        rcv_real_s = rcv_s if contiguous else ids[rcv_s]
-
+            # Postcondition of every grouping path (fresh sort, cache hit,
+            # sharded sort): an unsorted ``rcv`` here means a stale
+            # permutation or a shard worker writing outside its range.
+            _sanitize.check_receiver_sorted("grouped rcv", g.rcv)
+            g.check_int64("grouped")
+        snd_real = g.snd if contiguous else ids[g.snd]
         if self._soa is not None:
             # The sorted columns ARE the next round's inbox: no group
             # cutting, no per-node objects — one SoAInbox for everyone.
-            self._soa_inbox = SoAInbox(
-                snd_real_s,
-                rcv_s,
-                round_kind if uniform_kinds else kind_s,
-                pay_s,
-                pay2_s,
-                segments=seg,
-            )
+            self._soa_inbox = SoAInbox(snd_real, g.rcv, g.kinds, g.pay, g.pay2, segments=seg)
             return
-
-        cuts = np.flatnonzero(rcv_s[1:] != rcv_s[:-1]) + 1
-        starts = [0] + cuts.tolist() + [m_total]
-        group_rcv = rcv_s[np.asarray(starts[:-1], dtype=np.int64)].tolist()
-
-        uniform_kind = round_kind if uniform_kinds else None
-        if uniform_kind is None and kind_s is not None and int(kind_s.min()) == int(kind_s.max()):
-            uniform_kind = int(kind_s[0])
-
+        rcv_real = g.rcv if contiguous else ids[g.rcv]
+        if type(g.kinds) is np.ndarray and int(g.kinds.min()) == int(g.kinds.max()):
+            g.kinds = int(g.kinds[0])
+        starts = [0] + (np.flatnonzero(g.rcv[1:] != g.rcv[:-1]) + 1).tolist()
+        ends = starts[1:] + [len(g)]
         pending = self._pending
         is_batch = self._is_batch
-        kind_name = KINDS.name
-        raw = MessageBatch._raw
-        for g in range(len(starts) - 1):
-            s = starts[g]
-            e = starts[g + 1]
-            nid = group_rcv[g] if contiguous else int(ids[group_rcv[g]])
+        for s, e, nid in zip(starts, ends, rcv_real[starts].tolist()):
             if is_batch[nid]:
-                if ok_s is not None and not ok_s[s:e].all():
-                    raise TypeError(
-                        f"batch node {nid} received a message whose payload is "
-                        f"neither an integer nor an integer pair"
-                    )
-                # Attach the secondary lane iff some message in the group
-                # carries it — the rule ``MessageBatch.from_messages`` (and
-                # hence the legacy engine) applies to mixed inboxes.
-                if pay2_s is not None and (has2_s is None or bool(has2_s[s:e].any())):
-                    p2 = pay2_s[s:e]
-                else:
-                    p2 = None
-                pending[nid] = raw(
-                    snd_real_s[s:e],
-                    rcv_real_s[s:e],
-                    uniform_kind if uniform_kind is not None else kind_s[s:e],
-                    pay_s[s:e],
-                    p2,
-                )
-            elif objs_s is not None:
-                msgs = []
-                for i in range(s, e):
-                    obj = objs_s[i]
-                    if obj is None:
-                        if pay2_s is not None and (has2_s is None or has2_s[i]):
-                            payload = (int(pay_s[i]), int(pay2_s[i]))
-                        else:
-                            payload = int(pay_s[i])
-                        obj = Message(
-                            int(snd_real_s[i]),
-                            nid,
-                            kind_name(int(kind_s[i])) if kind_s is not None else kind_name(uniform_kind),
-                            payload,
-                        )
-                    msgs.append(obj)
-                pending[nid] = msgs
+                pending[nid] = g.batch(s, e, nid, snd_real, rcv_real)
             else:
-                uname = kind_name(uniform_kind) if kind_s is None else None
-                pending[nid] = [
-                    Message(
-                        int(snd_real_s[i]),
-                        nid,
-                        uname if uname is not None else kind_name(int(kind_s[i])),
-                        (int(pay_s[i]), int(pay2_s[i]))
-                        if pay2_s is not None and (has2_s is None or has2_s[i])
-                        else int(pay_s[i]),
-                    )
-                    for i in range(s, e)
-                ]
+                pending[nid] = g.messages(s, e, nid, snd_real)
 
     # ------------------------------------------------------------------
     def run(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["segmented_keep_indices", "needs_truncation", "group_argsort"]
+__all__ = ["segmented_keep_indices", "group_argsort"]
 
 
 def group_argsort(values: np.ndarray, bound: int) -> np.ndarray:
@@ -73,15 +73,3 @@ def segmented_keep_indices(
     rank_in_group = np.arange(m) - group_start
     keep = rank_in_group < cap
     return np.sort(perm[order[keep]])
-
-
-def needs_truncation(counts: np.ndarray, cap: int | None) -> bool:
-    """Whether any group exceeds ``cap`` (``None`` disables the bound).
-
-    The shared RNG discipline: an engine consumes randomness **only** when
-    this predicate is true, so capacity settings that never bind leave the
-    generator untouched (asserted by the capacity-semantics tests).
-    """
-    if cap is None or counts.size == 0:
-        return False
-    return int(counts.max()) > cap

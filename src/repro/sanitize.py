@@ -5,7 +5,7 @@ determinism contracts at the source level; this module is the *runtime*
 half of the same story.  Setting ``REPRO_SANITIZE=1`` arms, in one
 switch:
 
-- **delivery-tail asserts** (``repro.net.network._deliver_flat``):
+- **delivery-tail asserts** (``repro.net.network.SyncNetwork._deliver``):
   int64 dtype on every message lane entering the tail, ascending-sender
   emission on the SoA path, and a receiver-sorted postcondition on the
   grouped columns handed to protocol classes;

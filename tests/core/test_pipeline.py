@@ -138,3 +138,45 @@ class TestRootingModes:
             build_well_formed_tree(
                 mix, rng=np.random.default_rng(14), rooting=mode
             )
+
+
+class TestMessageLevelExpanderContext:
+    """The pipeline's ``ctx`` reaches the message-level expander's network,
+    not only the rooting one."""
+
+    @staticmethod
+    def build(ctx):
+        return build_well_formed_tree(
+            G.cycle_graph(64),
+            rng=np.random.default_rng(2),
+            expander="soa",
+            rooting="soa",
+            ctx=ctx,
+        )
+
+    def test_ctx_tracer_records_the_expander_rounds(self):
+        from repro.obs import Tracer
+        from repro.runtime import RunContext
+
+        tracer = Tracer()
+        result = self.build(RunContext.resolve(tracer=tracer))
+        expander_table, rooting_table = tracer.tables_of("net")
+        assert len(expander_table) == result.round_ledger["evolutions"]
+        assert len(rooting_table) == result.round_ledger["bfs"]
+        assert int(expander_table.column("sent").sum()) > 0
+
+    def test_ctx_workers_give_the_same_tree(self):
+        import hashlib
+
+        from repro.runtime import RunContext
+
+        def sha(result):
+            return hashlib.sha1(
+                result.expander.final_graph.ports.tobytes()
+                + result.bfs.parent.tobytes()
+                + result.bfs.depth.tobytes()
+                + result.tree.parent.tobytes()
+            ).hexdigest()
+
+        shas = {w: sha(self.build(RunContext.resolve(workers=w))) for w in (1, 2)}
+        assert shas[1] == shas[2]

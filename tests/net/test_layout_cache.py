@@ -206,3 +206,37 @@ class TestLayoutReuseEquality:
         assert np.array_equal(nodes, lazy[1])
         assert nodes.tolist() == [1, 3, 5]
         assert starts.tolist() == [0, 2, 3]
+
+
+class TestLayoutHitCount:
+    """Pins *how often* the cache hits, not just that hits are correct: a
+    tail that copied or re-wrapped the emitted columns would still
+    deliver identical inboxes, but would silently lose every hit."""
+
+    @staticmethod
+    def traced_hits(script, layout_reuse=True):
+        from repro.obs import Tracer
+        from repro.runtime import RunContext
+
+        ctx = RunContext.resolve(tracer=Tracer(), layout_reuse=layout_reuse)
+        net = SyncNetwork(
+            Scripted(N, script),
+            CapacityPolicy.unbounded(),
+            np.random.default_rng(0),
+            ctx=ctx,
+        )
+        for _ in range(len(script) + 1):
+            net.run_round()
+        return net.metrics.per_round.layout_hits().tolist()
+
+    def test_identity_stable_flood_hits_every_round_after_the_first(self):
+        hits = self.traced_hits(_steady_state_script(fresh=False))
+        # Round 0 sorts and stores; rounds 1-4 reuse; round 5 is silent.
+        assert hits == [0, 1, 1, 1, 1, 0]
+
+    def test_identity_only_arm_hits_too(self):
+        hits = self.traced_hits(_steady_state_script(fresh=False), layout_reuse=False)
+        assert hits == [0, 1, 1, 1, 1, 0]
+
+    def test_fresh_columns_never_hit(self):
+        assert self.traced_hits(_steady_state_script(fresh=True)) == [0] * 6
