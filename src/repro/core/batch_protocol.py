@@ -263,7 +263,8 @@ class SoAExpanderClass(SoAProtocolClass):
         if m == 0:
             return None
         choices = (self.rng.random(m) * self._delta).astype(np.int64)
-        return MessageBatch._raw(holders, self.ports[holders, choices], TOKEN, origins)
+        ports = self.ports.ravel().take(holders * self._delta + choices)
+        return MessageBatch._raw(holders, ports, TOKEN, origins)
 
     def on_round_soa(self, round_no: int, inbox: SoAInbox) -> MessageBatch | None:
         evolution, step = divmod(round_no, self._span)

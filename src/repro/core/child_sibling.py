@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.net.vectorops import group_argsort
+from repro.net.vectorops import group_sort
 
 __all__ = ["RootedTree", "to_child_sibling", "to_child_sibling_columns"]
 
@@ -118,9 +118,7 @@ def to_child_sibling_columns(parent: np.ndarray) -> np.ndarray:
     # ``children`` is ascending by id; the stable grouping sort yields
     # per-parent segments with children ascending inside each.
     parents_of = parent[children]
-    order = group_argsort(parents_of, n)
-    child = children[order]
-    par = parents_of[order]
+    child, par = group_sort(parents_of, n, children)
     first = np.concatenate([[True], par[1:] != par[:-1]])
     prev_sibling = np.concatenate([[0], child[:-1]])
     cs_parent[child] = np.where(first, par, prev_sibling)

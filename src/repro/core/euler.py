@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.child_sibling import RootedTree, to_child_sibling
-from repro.net.vectorops import group_argsort
+from repro.net.vectorops import group_sort
 
 __all__ = [
     "EulerTour",
@@ -231,9 +231,7 @@ def euler_tour_forest(parent: np.ndarray, root_of: np.ndarray) -> EulerTourFores
     # Children grouped by parent (ascending inside each group, since
     # ``nonroot`` is ascending and the grouping sort is stable).
     parents_of = parent[nonroot]
-    order = group_argsort(parents_of, n)
-    child = nonroot[order]
-    par = parents_of[order]
+    child, par = group_sort(parents_of, n, nonroot)
     is_first = np.concatenate([[True], par[1:] != par[:-1]])
     is_last = np.concatenate([par[1:] != par[:-1], [True]])
     first_child = np.full(n, -1, dtype=np.int64)

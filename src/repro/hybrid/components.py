@@ -40,7 +40,7 @@ from repro.hybrid.overlay import (
 )
 from repro.hybrid.spanner import SpannerResult, build_spanner
 from repro.net.hybrid import HybridLedger
-from repro.net.vectorops import group_argsort
+from repro.net.vectorops import group_sort
 
 __all__ = [
     "HYBRID_TIERS",
@@ -109,8 +109,7 @@ class ComponentsResult:
         n = labels.shape[0]
         if n == 0:
             return {}
-        order = group_argsort(labels, n)
-        grouped = labels[order]
+        order, grouped = group_sort(labels, int(labels.max()) + 1)
         starts = np.flatnonzero(
             np.concatenate([[True], grouped[1:] != grouped[:-1]])
         )

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.walks import run_token_walks
 from repro.graphs.portgraph import PortGraph
-from repro.net.vectorops import group_argsort
+from repro.net.vectorops import group_sort
 
 __all__ = ["StitchedWalkResult", "stitched_walks"]
 
@@ -153,8 +153,8 @@ def _pair_tokens(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     perm = rng.permutation(m)
-    order = perm[group_argsort(positions[perm], int(positions.max()) + 1)]
-    sorted_pos = positions[order]
+    order, sorted_pos = group_sort(positions[perm], int(positions.max()) + 1)
+    order = perm[order]  # shuffled ranks back to token indices
     # Group bounds by run lengths of the sorted column (the former
     # whole-column double searchsorted, at a fraction of the cost).
     starts = np.flatnonzero(np.concatenate([[True], sorted_pos[1:] != sorted_pos[:-1]]))

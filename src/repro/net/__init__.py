@@ -23,7 +23,7 @@ from repro.net.network import (
     SyncNetwork,
 )
 from repro.net.soa import SoAInbox, SoAProtocolClass
-from repro.net.vectorops import group_argsort, segmented_keep_indices
+from repro.net.vectorops import group_argsort, group_sort, segmented_keep_indices
 from repro.net.hybrid import HybridLedger
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "SyncNetwork",
     "ENGINES",
     "group_argsort",
+    "group_sort",
     "segmented_keep_indices",
     "HybridLedger",
 ]

@@ -53,7 +53,7 @@ from repro import sanitize as _sanitize
 from repro.net.batch import KINDS, MessageBatch, pair_payload
 from repro.net.message import Message
 from repro.net.soa import SoAInbox, SoAProtocolClass
-from repro.net.vectorops import group_argsort, segmented_keep_indices
+from repro.net.vectorops import group_sort, segmented_keep_indices
 
 #: Valid values for ``SyncNetwork(engine=...)`` — authoritative in
 #: :mod:`repro.runtime.context`, re-exported here for compatibility.
@@ -260,14 +260,14 @@ class _Lanes:
         return self.rcv.shape[0]
 
     def take(self, sel: np.ndarray) -> "_Lanes":
-        """Rows ``sel`` (a selection or a permutation), in ``sel``'s order.
-        The results are always fresh arrays, which is what the layout
-        cache's identity checks rely on."""
+        """Rows ``sel`` (a selection or a permutation), in ``sel``'s order,
+        as fresh arrays."""
         return self.take_rows(sel, self.rcv[sel], self.snd[sel])
 
     def take_rows(self, sel: np.ndarray, rcv, snd) -> "_Lanes":
-        """:meth:`take` with the key columns already gathered (the layout
-        cache keeps the sorted ones)."""
+        """:meth:`take` with the key columns already gathered: the
+        delivery tail's one payload gather per round (the packed sort
+        yields the sorted receivers, the layout cache keeps both)."""
         kinds = self.kinds
         return _Lanes(
             rcv,
@@ -378,6 +378,29 @@ class _Lanes:
                 obj = Message(int(snd_real[i]), nid, KINDS.name(int(code)), payload)
             out.append(obj)
         return out
+
+
+@dataclass(slots=True, eq=False)
+class _Rows:
+    """The delivery tail's row selection: ``sel`` holds ascending row
+    indices into the round's :class:`_Lanes` record (``None``: every
+    row), ``rcv``/``snd`` the key columns of exactly those rows.  While
+    ``sel`` is ``None`` they are the record's own column objects, which
+    is what the layout cache's identity checks key on; :meth:`keep`
+    always gathers fresh ones."""
+
+    sel: np.ndarray | None
+    rcv: np.ndarray
+    snd: np.ndarray
+
+    def __len__(self) -> int:
+        return self.rcv.shape[0]
+
+    def keep(self, idx: np.ndarray) -> None:
+        """Narrow to positions ``idx`` (ascending) of this selection."""
+        self.sel = idx if self.sel is None else self.sel[idx]
+        self.rcv = self.rcv[idx]
+        self.snd = self.snd[idx]
 
 
 @dataclass(frozen=True)
@@ -1226,30 +1249,28 @@ class SyncNetwork:
         """Deliver one round packed as a :class:`_Lanes` record.
 
         Stages, in order: verify the layout cache, split off local
-        traffic, fault hook, send cap, map receivers, receive cap,
-        prepend local, group by receiver, assemble inboxes.  Truncation
-        runs on index buffers via :func:`segmented_keep_indices`; inboxes
-        are cut as views of receiver-sorted columns (or kept whole as the
-        next :class:`SoAInbox`), so per-message Python work only happens
-        for object-node interop.
+        traffic, fault hook, send cap, map receivers, receive cap, group
+        by receiver, assemble inboxes.  Up to the grouping no stage
+        copies a payload lane: each narrows a :class:`_Rows` selection
+        of the record.  The grouping is one packed-key sort over the
+        surviving rows, local ones included, and the payload lanes are
+        gathered once, in delivery order.  Inboxes are cut as views of
+        the receiver-sorted columns (or kept whole as the next
+        :class:`SoAInbox`), so per-message Python work only happens for
+        object-node interop.
         """
         if _sanitize.ENABLED:
             lanes.check_int64("entering")
-        entry_rcv = lanes.rcv
         self._verify_layout(lanes)
-        lanes, local = self._split_local(lanes)
-        lanes = self._apply_faults(lanes)
-        lanes, sent = self._cap_send(lanes)
-        self._map_receivers(lanes)
-        lanes, recv = self._cap_receive(lanes)
-        no_local = local is None
-        if not no_local:
-            # Local messages sort ahead of remote ones for the same
-            # receiver (stable sort ⇒ legacy's local-first order).
-            lanes = _Lanes.concat([local, lanes])
-        self._pending_count = len(lanes)
-        if len(lanes):
-            grouped, seg = self._group(lanes, no_local, entry_rcv, sent, recv)
+        rows = _Rows(None, lanes.rcv, lanes.snd)
+        local = self._split_local(rows)
+        self._apply_faults(rows)
+        sent = self._cap_send(rows)
+        self._map_receivers(rows)
+        recv = self._cap_receive(rows)
+        self._pending_count = len(rows) + (0 if local is None else local.shape[0])
+        if self._pending_count:
+            grouped, seg = self._group(lanes, rows, local, sent, recv)
             self._assemble(grouped, seg)
 
     def _verify_layout(self, lanes: _Lanes) -> None:
@@ -1262,8 +1283,8 @@ class SyncNetwork:
         defensive copy taken at store time; a mismatch invalidates that
         side, so the round falls back to a fresh sort — never a silent
         misdelivery through a stale permutation.  Every later stage reads
-        ``lanes.rcv is layout.rcv`` (resp. ``snd``) as "verified
-        unchanged": stages that drop rows produce fresh arrays.  The
+        ``rows.rcv is layout.rcv`` (resp. ``snd``) as "verified
+        unchanged": stages that drop rows gather fresh key columns.  The
         identity-only arm (``layout_reuse=False``) trusts identity alone.
         """
         lay = self._layout
@@ -1278,78 +1299,78 @@ class SyncNetwork:
                 # identity hit; the values changed, so it must be re-run.
                 self._require_ascending_senders(lanes.snd)
 
-    def _split_local(self, lanes: _Lanes):
-        """Split off self-addressed traffic: it bypasses the network."""
+    def _split_local(self, rows: _Rows):
+        """Narrow ``rows`` to remote traffic; return the self-addressed
+        row indices (``None``: there are none).  Local rows bypass the
+        network and need no copy: their receiver is their sender."""
         lay = self._layout
-        if lanes.rcv is lay.rcv and lanes.snd is lay.snd and lay.no_local:
+        if rows.rcv is lay.rcv and rows.snd is lay.snd and lay.no_local:
             # The store round proved this sender/receiver pair carries
             # no self-addressed traffic.
-            return lanes, None
-        snd_real = lanes.snd if self._contiguous else self._ids[lanes.snd]
-        mask = lanes.rcv == snd_real
+            return None
+        snd_real = rows.snd if self._contiguous else self._ids[rows.snd]
+        mask = rows.rcv == snd_real
         if not mask.any():
-            return lanes, None
-        local = lanes.take(np.flatnonzero(mask))
-        local.rcv = local.snd  # receiver index == sender index
-        return lanes.take(np.flatnonzero(~mask)), local
+            return None
+        rows.keep(np.flatnonzero(~mask))
+        return np.flatnonzero(mask)
 
-    def _apply_faults(self, lanes: _Lanes) -> _Lanes:
+    def _apply_faults(self, rows: _Rows) -> None:
         """Oblivious drops (crash isolation, partitions, link loss) on the
         remote rows in canonical order — the legacy engine's hook point,
         before capacity truncation, so every tier sees the same fault
         stream under a shared seed."""
-        m = len(lanes)
+        m = len(rows)
         if self.fault_hook is None or not m:
-            return lanes
-        snd_ids = lanes.snd if self._contiguous else self._ids[lanes.snd]
-        keep = self._run_fault_hook(snd_ids, lanes.rcv)
+            return
+        snd_ids = rows.snd if self._contiguous else self._ids[rows.snd]
+        keep = self._run_fault_hook(snd_ids, rows.rcv)
         if keep is None:
-            return lanes
+            return
         kept = _fault_keep_indices(keep, m)
-        if kept.size == m:
-            return lanes
-        self._metrics.fault_drops += m - kept.size
-        return lanes.take(kept)
+        if kept.size != m:
+            self._metrics.fault_drops += m - kept.size
+            rows.keep(kept)
 
-    def _truncate(self, lanes: _Lanes, key: str, cap: int | None, cached, totals):
+    def _truncate(self, rows: _Rows, key: str, cap: int | None, cached, totals):
         """Keep a uniform subset of at most ``cap`` rows per ``key`` node
         (one permutation draw, only when a bound binds), then add the
         per-node counts into ``totals``.
 
-        Returns ``(lanes, (counts, max), dropped)``; ``cached`` is a
-        verified ``(counts, max)`` from the layout cache, and an empty
-        round counts ``(None, 0)``.
+        Returns ``((counts, max), dropped)``; ``cached`` is a verified
+        ``(counts, max)`` from the layout cache, and an empty round
+        counts ``(None, 0)``.
         """
-        m = len(lanes)
+        m = len(rows)
         if not m:
-            return lanes, (None, 0), 0
-        counts = cached or _count(getattr(lanes, key), self._n)
+            return (None, 0), 0
+        counts = cached or _count(getattr(rows, key), self._n)
         if cap is not None and counts[1] > cap:
-            keep = segmented_keep_indices(getattr(lanes, key), cap, self.rng)
-            lanes = lanes.take(keep)
+            keep = segmented_keep_indices(getattr(rows, key), cap, self.rng)
+            rows.keep(keep)
             if not keep.size:
-                return lanes, (None, 0), m
-            counts = _count(getattr(lanes, key), self._n)
+                return (None, 0), m
+            counts = _count(getattr(rows, key), self._n)
         totals += counts[0]
         self._counts_dirty = True
-        return lanes, counts, m - len(lanes)
+        return counts, m - len(rows)
 
-    def _cap_send(self, lanes: _Lanes):
+    def _cap_send(self, rows: _Rows):
         lay = self._layout
-        cached = (lay.sent_counts, lay.sent_max) if lanes.snd is lay.snd else None
-        lanes, sent, dropped = self._truncate(
-            lanes, "snd", self.capacity.max_send, cached, self._sent_counts
+        cached = (lay.sent_counts, lay.sent_max) if rows.snd is lay.snd else None
+        sent, dropped = self._truncate(
+            rows, "snd", self.capacity.max_send, cached, self._sent_counts
         )
         metrics = self._metrics
         metrics.send_drops += dropped
-        metrics.total_messages += len(lanes)
+        metrics.total_messages += len(rows)
         metrics.max_sent_per_round = max(metrics.max_sent_per_round, sent[1])
-        return lanes, sent
+        return sent
 
-    def _map_receivers(self, lanes: _Lanes) -> None:
-        """Rebind ``lanes.rcv`` from receiver ids to node indices; an
+    def _map_receivers(self, rows: _Rows) -> None:
+        """Rebind ``rows.rcv`` from receiver ids to node indices; an
         unknown receiver raises (first offender in canonical order)."""
-        rcv = lanes.rcv
+        rcv = rows.rcv
         n = self._n
         if self._contiguous:
             if rcv is self._layout.rcv:  # verified unchanged: passed before
@@ -1361,98 +1382,112 @@ class SyncNetwork:
         if invalid.any():
             raise KeyError(f"message addressed to unknown node {int(rcv[int(invalid.argmax())])}")
         if not self._contiguous:
-            lanes.rcv = self._sort_order[pos]
+            rows.rcv = self._sort_order[pos]
 
-    def _cap_receive(self, lanes: _Lanes):
+    def _cap_receive(self, rows: _Rows):
         lay = self._layout
         cached = None
-        if lanes.rcv is lay.rcv and self._reuse_layouts:
+        if rows.rcv is lay.rcv and self._reuse_layouts:
             cached = (lay.recv_counts, lay.recv_max)
-        lanes, recv, dropped = self._truncate(
-            lanes, "rcv", self.capacity.max_receive, cached, self._recv_counts
+        recv, dropped = self._truncate(
+            rows, "rcv", self.capacity.max_receive, cached, self._recv_counts
         )
         metrics = self._metrics
         metrics.receive_drops += dropped
         metrics.max_received_per_round = max(metrics.max_received_per_round, recv[1])
-        return lanes, recv
+        return recv
 
-    def _group(self, lanes: _Lanes, no_local: bool, entry_rcv, sent, recv):
+    def _group(self, lanes: _Lanes, rows: _Rows, local, sent, recv):
         """Receiver-sort the round; returns ``(grouped, segments)``.
+
+        A fresh layout is one :func:`group_sort` over the surviving rows
+        (``local`` and ``rows``) with entry-record row numbers in the key's
+        low bits.  Local rows sort under key ``2·receiver`` and remote
+        ones under ``2·receiver + 1``, so each inbox starts with its
+        local rows and then lists its remote ones in canonical order —
+        the legacy engine's order.  The sorted keys are the grouped
+        receiver column; the permutation gathers everything else once.
 
         Rounds that re-emit identity-stable (and value-verified) column
         objects — flooding protocols announcing over a fixed adjacency —
         reuse the cached layout wholesale: permutation, sorted key
         columns, segment offsets.  Only the payload lanes are
         re-gathered, which removes the per-round re-sort from the
-        n=10⁶..10⁷ SoA runs.  Fresh layouts sort in-process, or in
-        receiver-range shards on the worker pool when ``workers > 1``
-        (bit-for-bit identical — see repro.net.shard).
-        ``no_local`` says no self-addressed rows were prepended.
+        n=10⁶..10⁷ SoA runs.  With ``workers > 1`` an SoA round without
+        local rows sorts in receiver-range shards on the worker pool
+        instead (bit-for-bit identical — see repro.net.shard).
         """
         lay = self._layout
-        m = len(lanes)
-        if lanes.rcv is lay.rcv:
+        if rows.rcv is lay.rcv:
             self._layout_hit = True  # read by run_round on traced runs only
             order = lay.order
-            rcv_s = lay.rcv_s if self._reuse_layouts else lanes.rcv[order]
-            snd_s = lay.snd_s if lanes.snd is lay.snd else lanes.snd[order]
+            rcv_s = lay.rcv_s if self._reuse_layouts else rows.rcv[order]
+            snd_s = lay.snd_s if rows.snd is lay.snd else rows.snd[order]
             pool = self._shards
             if pool is not None and lay.shard_gen == pool.gen and lanes.shardable():
-                pay_s, pay2_s = pool.gather_payloads(m, lanes.pay, lanes.pay2, lay.shard_gen)
+                pay_s, pay2_s = pool.gather_payloads(len(lanes), lanes.pay, lanes.pay2, pool.gen)
                 return _Lanes(rcv_s, snd_s, lanes.kinds, pay_s, pay2=pay2_s), lay.seg
             return lanes.take_rows(order, rcv_s, snd_s), lay.seg
 
+        sel = rows.sel
         sharded = (
             self._workers > 1
             and self._soa is not None
-            and no_local
+            and local is None
             and lanes.shardable()
         )
         if sharded:
-            pool = self._shard_pool(m)
-            order, rcv_s, snd_s, pay_s, pay2_s = pool.sort_round(
-                lanes.rcv, lanes.snd, lanes.pay, lanes.pay2, recv[0]
+            # ``order`` indexes the selection; only a pristine round (no
+            # selection) stores it.
+            part = lanes if sel is None else lanes.take_rows(sel, rows.rcv, rows.snd)
+            order, rcv_s, snd_s, pay_s, pay2_s = self._shard_pool(len(rows)).sort_round(
+                rows.rcv, rows.snd, part.pay, part.pay2, recv[0]
             )
             grouped = _Lanes(rcv_s, snd_s, lanes.kinds, pay_s, pay2=pay2_s)
         else:
-            order = group_argsort(lanes.rcv, self._n)
-            grouped = lanes.take(order)
+            if local is None:
+                order, rcv_s = group_sort(rows.rcv, self._n, sel)
+            else:
+                keys = np.concatenate((lanes.snd[local] << 1, rows.rcv << 1 | 1))
+                order, rcv_s = group_sort(keys, 2 * self._n, np.concatenate((local, sel)))
+                rcv_s >>= 1
+            grouped = lanes.take_rows(order, rcv_s, lanes.snd[order])
         seg = None
-        if no_local:
+        if local is None:
             # Receiver segment offsets fall out of the bincount for free
             # when no local messages interleave with remote groups.
-            seg_nodes = np.flatnonzero(recv[0])
-            seg_starts = np.zeros(seg_nodes.shape[0], dtype=np.int64)
-            np.cumsum(recv[0][seg_nodes][:-1], out=seg_starts[1:])
-            seg = (seg_starts, seg_nodes)
-        self._store_layout(lanes, grouped, order, seg, entry_rcv, sent, recv, sharded)
+            nodes = np.flatnonzero(recv[0])
+            counts = recv[0][nodes]
+            seg = (np.cumsum(counts) - counts, nodes)
+        self._store_layout(lanes, rows, grouped, order, seg, sent, recv, sharded)
         return grouped, seg
 
-    def _store_layout(self, lanes, grouped, order, seg, entry_rcv, sent, recv, sharded) -> None:
+    def _store_layout(self, lanes, rows, grouped, order, seg, sent, recv, sharded) -> None:
         """Cache a freshly sorted layout.
 
         Only pristine layouts are stored: the keyed objects must be the
         protocol-emitted arrays a later round can re-emit (no local
         split, no truncation, no id mapping touched them).  Non-pristine
         rounds leave an older still-valid entry in place, so flooding
-        rounds interleaved with offer/response rounds keep hitting.  The
-        cached receiver view is frozen: direct in-place mutation of a
-        re-emitted buffer errors immediately, and writes through other
-        views of the same base are caught by :meth:`_verify_layout`.
+        rounds interleaved with offer/response rounds keep hitting
+        (the identity-only arm drops it instead).  The cached receiver
+        column is frozen: direct in-place mutation of a re-emitted
+        buffer errors immediately, and writes through other views of the
+        same base are caught by :meth:`_verify_layout`.
         """
         lay = self._layout
-        rcv = lanes.rcv
         if not self._reuse_layouts:
             # Identity-only arm: cache the sort permutation, nothing else.
-            rcv.flags.writeable = False
             lay.clear_rcv()
             lay.clear_snd()
-            lay.rcv, lay.order = rcv, order
-            return
-        if rcv is not entry_rcv:
+        rcv = lanes.rcv
+        if rows.rcv is not rcv:
             return
         rcv.flags.writeable = False
-        lay.rcv, lay.rcv_copy, lay.order, lay.rcv_s = rcv, rcv.copy(), order, grouped.rcv
+        lay.rcv, lay.order = rcv, order
+        if not self._reuse_layouts:
+            return
+        lay.rcv_copy, lay.rcv_s = rcv.copy(), grouped.rcv
         lay.recv_counts, lay.recv_max = recv
         lay.seg = seg
         lay.shard_gen = self._shards.gen if sharded else None

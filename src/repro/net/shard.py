@@ -17,7 +17,7 @@ ranges).  This module supplies the worker pool behind
 - **shards**: worker ``w`` owns the contiguous receiver-index range
   ``[bounds[w], bounds[w+1])``.  It selects its messages with one
   ``flatnonzero`` scan, sorts them with the same stable
-  :func:`~repro.net.vectorops.group_argsort` the single-process tail
+  :func:`~repro.net.vectorops.group_sort` the single-process tail
   uses, and writes order + gathered columns at its global offset
   (the cumulative receiver-count prefix at its lower bound).
 - **merge**: nothing to do.  ``np.flatnonzero`` yields ascending
@@ -52,7 +52,7 @@ import weakref
 import numpy as np
 
 from repro import sanitize as _sanitize
-from repro.net.vectorops import group_argsort
+from repro.net.vectorops import group_sort
 
 #: Environment variable consulted when ``workers`` is not given explicitly
 #: (the harness axis); resolution lives in :mod:`repro.runtime` with the
@@ -178,13 +178,12 @@ def _worker_loop(conn, cols, lo: int, hi: int) -> None:
                 sel = np.flatnonzero((rcv >= lo) & (rcv < hi))
                 # sel is ascending, so this is the stable sort of a
                 # subsequence — stability of the global order preserved.
-                perm = group_argsort(rcv[sel] - lo, hi - lo)
-                local = sel[perm]
+                local, rcv_sorted = group_sort(rcv[sel], hi, sel)
                 gen_seen, off_seen = gen, off
                 k = local.shape[0]
                 end = off + k
                 order_out[off:end] = local
-                rcv_out[off:end] = rcv[local]
+                rcv_out[off:end] = rcv_sorted
                 snd_out[off:end] = snd_in[local]
                 pay_out[off:end] = pay_in[local]
                 if want_pay2:
@@ -239,8 +238,8 @@ class ShardPool:
 
     .. code-block:: python
 
-        order = group_argsort(rcv_idx, n)
-        rcv_s, snd_s, pay_s = rcv_idx[order], snd_all[order], pay_all[order]
+        order, rcv_s = group_sort(rcv_idx, n)
+        snd_s, pay_s = snd_all[order], pay_all[order]
 
     returning bit-for-bit identical arrays (see module docstring for the
     stability argument).  The pool owns its arena and workers; arenas are
@@ -359,12 +358,11 @@ class ShardPool:
             start = time.perf_counter()  # repro-lint: disable=RL202
             lo, hi = int(self.bounds[w]), int(self.bounds[w + 1])
             sel = np.flatnonzero((rcv >= lo) & (rcv < hi))
-            perm = group_argsort(rcv[sel] - lo, hi - lo)
-            local = sel[perm]
+            local, rcv_sorted = group_sort(rcv[sel], hi, sel)
             off = int(offs[w])
             end = off + local.shape[0]
             cols["order"][off:end] = local
-            cols["rcv_s"][off:end] = rcv[local]
+            cols["rcv_s"][off:end] = rcv_sorted
             cols["snd_s"][off:end] = cols["snd"][local]
             cols["pay_s"][off:end] = cols["pay"][local]
             if want_pay2:
@@ -388,7 +386,7 @@ class ShardPool:
         ``n``) — its prefix sums at the shard bounds are the workers'
         output offsets, which is the whole "merge".  Returns
         ``(order, rcv_s, snd_s, pay_s, pay2_s)`` bit-for-bit equal to
-        the in-process ``group_argsort`` path.
+        the in-process ``group_sort`` path.
         """
         m = int(rcv_idx.shape[0])
         if recv_counts.shape[0] != self.n:

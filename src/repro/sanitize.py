@@ -18,6 +18,10 @@ switch:
   extent, so shard workers writing outside their prefix-sum offsets —
   the write-overlap race class — fail the round loudly instead of
   silently misdelivering;
+- **grouping-label bounds** (``repro.net.vectorops.group_sort``): every
+  label must lie in ``[0, bound)`` — a label outside it would shift
+  into the packed key's row bits or its sign bit and silently reorder
+  the groups;
 - **fault-hook validation**: an oblivious adversary hook must neither
   draw from the delivery RNG (it would shift every subsequent
   truncation lottery) nor mutate the sender/receiver columns it is
@@ -40,6 +44,7 @@ from repro.runtime.envsource import env_flag
 __all__ = [
     "ENABLED",
     "SanitizeError",
+    "check_bounded",
     "check_int64",
     "check_nondecreasing",
     "check_receiver_sorted",
@@ -60,6 +65,16 @@ def check_int64(name: str, arr) -> None:
     if arr is not None and arr.dtype != np.int64:
         raise SanitizeError(
             f"sanitize: lane {name!r} has dtype {arr.dtype}, expected int64"
+        )
+
+
+def check_bounded(name: str, arr, bound: int) -> None:
+    """Integer labels lie in ``[0, bound)`` (the packed grouping sort's
+    precondition)."""
+    if arr.shape[0] and (int(arr.min()) < 0 or int(arr.max()) >= bound):
+        raise SanitizeError(
+            f"sanitize: labels {name!r} span [{int(arr.min())}, "
+            f"{int(arr.max())}], outside [0, {bound})"
         )
 
 

@@ -16,7 +16,7 @@ population with **flat columns end to end**:
 - at the barrier (``clock += max_delay``) the queue releases every
   message whose arrival time has passed, restores receiver-sorted order
   with the same stable bucketing sort the delivery tail uses
-  (:func:`repro.net.vectorops.group_argsort`), and re-stages the result.
+  (:func:`repro.net.vectorops.group_sort`), and re-stages the result.
 
 Because every delay is at most ``max_delay``, each barrier drains the
 queue completely and the released columns coincide exactly with what the
@@ -38,7 +38,7 @@ from repro.net import soa as _soa
 from repro.net.asynchrony import AsyncReport
 from repro.net.network import CapacityPolicy, SyncNetwork
 from repro.net.soa import SoAInbox, SoAProtocolClass
-from repro.net.vectorops import group_argsort
+from repro.net.vectorops import group_sort
 from repro.runtime import RunContext
 
 __all__ = ["SoADelayQueue", "run_soa_synchroniser"]
@@ -145,7 +145,7 @@ class SoADelayQueue:
         # Restore receiver grouping: the released columns are pushes'
         # receiver-sorted segments back to back, so one stable bucketing
         # sort rebuilds the canonical per-receiver sequences.
-        return released.take(group_argsort(released.receivers, self.n))
+        return released.take(group_sort(released.receivers, self.n)[0])
 
 
 def run_soa_synchroniser(
