@@ -1,25 +1,27 @@
-"""S1 — Engine scaling: legacy per-message vs. vectorized batched delivery.
+"""S1 — Engine scaling: object nodes on the per-message path vs. the SoA tier.
 
-The two network stacks run the *same* NCC0 protocol (one ``CreateExpander``
-evolution, calibrated parameters):
+The two tiers run the *same* NCC0 protocol (one ``CreateExpander``
+evolution, calibrated parameters) and, under one seed, the bit-for-bit
+identical execution:
 
-- **legacy**: object messages through per-message Python loops — the
-  seed's engine, kept as the differential-testing oracle;
-- **vectorized**: :class:`BatchProtocolNode` arrays through the flat-buffer
-  delivery core of ``SyncNetwork(engine="vectorized")``.
+- **object-nodes / legacy**: per-:class:`Message` objects through
+  per-message Python loops — the seed's stack, kept as the
+  differential-testing oracle;
+- **soa-class / vectorized**: one :class:`SoAExpanderClass` advancing
+  every node per round through the flat-buffer delivery tail of
+  ``SyncNetwork(engine="vectorized")``.
 
-Measured here: wall-clock per engine across sizes (vectorized-only at the
-largest sizes the legacy engine cannot reach in reasonable time), the
+Measured here: wall-clock per stack across sizes (SoA-only at the
+largest sizes the object stack cannot reach in reasonable time), the
 speedup, and — because speed without semantics is meaningless — an exact
-cross-engine equivalence check at a differential-testable size.
+cross-tier equivalence check at a differential-testable size.
 
-Shape assertions (full mode): at ``n = 10⁴`` the vectorized engine is
-≥ 5× faster than the legacy engine on the same batch nodes (the
-engine-controlled comparison), and ≥ 3× faster than the full seed stack
-(object nodes + legacy delivery).
+Shape assertion (full mode): at ``n = 10⁴`` the SoA tier is ≥ 5× faster
+than object nodes on the legacy engine.
 
 Run standalone:  ``PYTHONPATH=src python benchmarks/bench_s1_engine_scaling.py``
-(``--smoke`` for the ~30 s CI variant, ``--engine`` to restrict scaling rows).
+(``--smoke`` for the ~30 s CI variant, ``--engine`` to restrict scaling
+rows: ``legacy`` times the object stack, ``vectorized`` the SoA tier).
 """
 
 import argparse
@@ -28,7 +30,7 @@ import time
 
 import numpy as np
 
-from repro.core.batch_protocol import run_batch_expander
+from repro.core.batch_protocol import run_soa_expander
 from repro.core.params import ExpanderParams
 from repro.core.protocol import run_protocol_expander
 from repro.experiments.harness import (
@@ -40,7 +42,7 @@ from repro.experiments.harness import (
 from repro.graphs import generators as G
 
 FULL_SIZES = (1_000, 5_000, 10_000)
-FULL_VECTORIZED_ONLY = (50_000,)
+FULL_SOA_ONLY = (50_000,)
 SMOKE_SIZES = (500, 2_000)
 ASSERT_N = 10_000
 
@@ -59,23 +61,28 @@ def _time(fn, repeats: int = 2) -> float:
 
 
 def check_equivalence(n: int = 200) -> None:
-    """Exact cross-engine agreement on a differential-testable size."""
+    """Exact cross-engine and cross-tier agreement on a
+    differential-testable size."""
     params = _params(n)
     g = G.line_graph(n)
-    vec = run_batch_expander(g, params=params, rng=np.random.default_rng(n))
-    leg = run_batch_expander(
+    leg = run_protocol_expander(
         g, params=params, rng=np.random.default_rng(n), engine="legacy"
     )
-    assert np.array_equal(vec.final_graph.ports, leg.final_graph.ports), (
-        "engines disagree on the final graph"
-    )
-    assert vec.metrics.as_dict() == leg.metrics.as_dict(), "engines disagree on metrics"
+    vec = run_protocol_expander(g, params=params, rng=np.random.default_rng(n))
+    soa = run_soa_expander(g, params=params, rng=np.random.default_rng(n))
+    for name, other in (("vectorized engine", vec), ("SoA tier", soa)):
+        assert np.array_equal(other.final_graph.ports, leg.final_graph.ports), (
+            f"{name} disagrees on the final graph"
+        )
+        assert other.metrics.as_dict() == leg.metrics.as_dict(), (
+            f"{name} disagrees on metrics"
+        )
 
 
 def run_experiment(smoke: bool, engine_filter: str | None = None):
     check_equivalence()
     sizes = SMOKE_SIZES if smoke else FULL_SIZES
-    vec_only = () if smoke else FULL_VECTORIZED_ONLY
+    soa_only = () if smoke else FULL_SOA_ONLY
 
     table = Table(
         "S1: round-engine scaling (one CreateExpander evolution)",
@@ -89,18 +96,22 @@ def run_experiment(smoke: bool, engine_filter: str | None = None):
         table.add(n, params.delta, stack, engine, round(seconds, 3), int(rate))
         rows[(n, stack, engine)] = seconds
 
+    def time_soa(n, g, repeats):
+        params = _params(n)
+        result = run_soa_expander(g, params=params, rng=np.random.default_rng(1))
+        seconds = _time(
+            lambda: run_soa_expander(g, params=params, rng=np.random.default_rng(1)),
+            repeats,
+        )
+        record(n, "soa-class", "vectorized", seconds, result.metrics.total_messages)
+
     for n in sizes:
         params = _params(n)
         g = G.line_graph(n)
         repeats = 1 if smoke else 2
 
         if engine_filter in (None, "vectorized"):
-            result = run_batch_expander(g, params=params, rng=np.random.default_rng(1))
-            seconds = _time(
-                lambda: run_batch_expander(g, params=params, rng=np.random.default_rng(1)),
-                repeats,
-            )
-            record(n, "batch-nodes", "vectorized", seconds, result.metrics.total_messages)
+            time_soa(n, g, repeats)
 
         if engine_filter in (None, "legacy"):
             result = run_protocol_expander(
@@ -114,49 +125,19 @@ def run_experiment(smoke: bool, engine_filter: str | None = None):
             )
             record(n, "object-nodes", "legacy", seconds, result.metrics.total_messages)
 
-            if n == ASSERT_N:
-                # Engine-controlled comparison: identical batch nodes, only
-                # the delivery engine differs.
-                result = run_batch_expander(
-                    g, params=params, rng=np.random.default_rng(1), engine="legacy"
-                )
-                seconds = _time(
-                    lambda: run_batch_expander(
-                        g, params=params, rng=np.random.default_rng(1), engine="legacy"
-                    ),
-                    repeats,
-                )
-                record(n, "batch-nodes", "legacy", seconds, result.metrics.total_messages)
-
-    for n in vec_only:
-        params = _params(n)
-        g = G.line_graph(n)
-        result = run_batch_expander(g, params=params, rng=np.random.default_rng(1))
-        seconds = _time(
-            lambda: run_batch_expander(g, params=params, rng=np.random.default_rng(1)),
-            repeats=1,
-        )
-        record(n, "batch-nodes", "vectorized", seconds, result.metrics.total_messages)
+    for n in soa_only:
+        time_soa(n, G.line_graph(n), repeats=1)
 
     table.show()
 
     if not smoke and engine_filter is None:
-        t_vec = rows[(ASSERT_N, "batch-nodes", "vectorized")]
-        t_leg_same_nodes = rows[(ASSERT_N, "batch-nodes", "legacy")]
-        t_leg_seed_stack = rows[(ASSERT_N, "object-nodes", "legacy")]
-        engine_speedup = t_leg_same_nodes / t_vec
-        stack_speedup = t_leg_seed_stack / t_vec
-        print(
-            f"n={ASSERT_N}: engine-controlled speedup {engine_speedup:.1f}x, "
-            f"full-stack speedup {stack_speedup:.1f}x"
-        )
-        assert engine_speedup >= 5.0, (
-            f"vectorized engine only {engine_speedup:.1f}x faster than legacy "
-            f"on identical nodes at n={ASSERT_N} (need >= 5x)"
-        )
-        assert stack_speedup >= 3.0, (
-            f"batched stack only {stack_speedup:.1f}x faster than the seed "
-            f"stack at n={ASSERT_N} (need >= 3x)"
+        t_soa = rows[(ASSERT_N, "soa-class", "vectorized")]
+        t_object = rows[(ASSERT_N, "object-nodes", "legacy")]
+        speedup = t_object / t_soa
+        print(f"n={ASSERT_N}: SoA-over-object speedup {speedup:.1f}x")
+        assert speedup >= 5.0, (
+            f"SoA tier only {speedup:.1f}x faster than object nodes on the "
+            f"legacy engine at n={ASSERT_N} (need >= 5x)"
         )
     return rows
 

@@ -3,19 +3,19 @@
 ISSUE 3's acceptance bar, extended by ISSUE 6 with the sharded round
 loop.  The rooting phase (§2.1, footnote 8) is the most
 call-overhead-bound phase of the Theorem 1.1 pipeline: per-node work is
-a couple of integer compares, so at ``n ≥ 10⁵`` the batch tier's one
-Python call per node per round dominates everything.  The SoA tier
-(`repro.core.soa_rooting`) advances *all* nodes with one call over
-shared numpy columns, through the identical vectorized delivery path.
+a couple of integer compares, so at ``n ≥ 10⁵`` the object tier's one
+Python call per node per round (and one object per message) dominates
+everything.  The SoA tier (`repro.core.soa_rooting`) advances *all*
+nodes with one call over shared numpy columns, through the vectorized
+delivery path.
 
-Measured here, on the same ring-plus-chords stand-in for evolution
-output as S2:
+Measured here, on a ring-plus-chords stand-in for evolution output:
 
-- wall-clock of the batch tier vs. the SoA tier across sizes (both on
-  vectorized delivery — the node *representation* is the only variable,
-  so the comparison is engine-controlled);
-- a **hard speedup assert**: SoA ≥ 20× over batch nodes at ``n = 10⁵``
-  (full mode), ≥ 6× at ``n = 2·10⁴`` (smoke mode, run in CI);
+- wall-clock of the object tier (on the legacy engine, its faster one)
+  vs. the SoA tier across sizes;
+- **hard speedup asserts**: SoA ≥ 4× over object nodes at ``n = 10⁴``
+  and ≥ 20× at ``n = 10⁵`` (full mode), ≥ 6× at ``n = 2·10⁴`` (smoke
+  mode, run in CI);
 - the SoA tier across a **worker-count sweep** (``--workers`` /
   ``REPRO_WORKERS`` restricts it to one count): every count must produce
   the identical tree, asserted in-bench via the ``tree_sha`` column that
@@ -29,12 +29,13 @@ output as S2:
 - a demonstrated ``n = 10⁶`` rooting run on the SoA tier — a scale no
   per-node tier reaches in reasonable time — validated to span with a
   unique root (``run_soa_rooting`` raises otherwise);
-- an exact three-tier equivalence check (object vs. batch vs. SoA:
+- an exact equivalence check (object nodes on both engines vs. SoA:
   identical trees, metrics, rounds) before anything is timed.
 
 Run standalone:  ``PYTHONPATH=src python benchmarks/bench_s3_soa_scaling.py``
 (``--smoke`` for the ~30 s CI variant, ``--engine legacy|vectorized|soa``
-to restrict the stacks timed, ``--workers N`` to pin the shard count,
+to restrict the stacks timed — ``legacy``/``vectorized`` time object
+nodes on that engine, ``--workers N`` to pin the shard count,
 ``--json PATH`` for the machine-readable ``repro-bench/v1`` payload,
 ``--trace PATH`` for the ISSUE 9 satellite: a traced-vs-untraced
 invariance run whose ``trace/v1`` artifact and overhead percentages land
@@ -49,7 +50,7 @@ import time
 
 import numpy as np
 
-from repro.core.protocol_tree import run_batch_rooting, run_protocol_rooting
+from repro.core.protocol_tree import run_protocol_rooting
 from repro.core.soa_rooting import run_soa_rooting
 from repro.experiments.harness import (
     TIER_CHOICES,
@@ -66,8 +67,8 @@ from repro.runtime import RunContext, workers_specified
 FULL_SIZES = (10_000, 100_000)
 FULL_SOA_ONLY = (1_000_000,)
 SMOKE_SIZES = (2_000, 20_000)
-FULL_ASSERT = (100_000, 20.0)
-SMOKE_ASSERT = (20_000, 6.0)
+FULL_ASSERTS = ((10_000, 4.0), (100_000, 20.0))
+SMOKE_ASSERTS = ((20_000, 6.0),)
 FULL_WORKER_SWEEP = (1, 2, 4)
 SMOKE_WORKER_SWEEP = (1, 2)
 TRACE_N_FULL = 100_000
@@ -78,8 +79,8 @@ NUM_CHORD_SETS = 2
 
 
 def overlay_like_graph(n: int, seed: int) -> PortGraph:
-    """Connected Δ=16 multigraph with ``O(log n)`` diameter (the same
-    ring-plus-chords family as S2; construction shared in PortGraph)."""
+    """Connected Δ=16 multigraph with ``O(log n)`` diameter (the
+    ring-plus-chords family; construction shared in PortGraph)."""
     return PortGraph.ring_with_chords(n, delta=DELTA, chords=NUM_CHORD_SETS, seed=seed)
 
 
@@ -127,13 +128,14 @@ def _soa_run_seconds(graph, fr, workers: int, repeats: int, reuse: bool = True):
 
 
 def check_equivalence(n: int = 400) -> None:
-    """Bit-for-bit three-tier agreement before timing anything."""
+    """Bit-for-bit agreement of object nodes on both engines and the SoA
+    tier before timing anything."""
     graph = overlay_like_graph(n, seed=n)
     fr = _flood_rounds(n)
     obj = run_protocol_rooting(graph, fr, rng=np.random.default_rng(n), engine="legacy")
-    bat = run_batch_rooting(graph, fr, rng=np.random.default_rng(n))
+    vec = run_protocol_rooting(graph, fr, rng=np.random.default_rng(n))
     soa = run_soa_rooting(graph, fr, rng=np.random.default_rng(n))
-    for name, other in (("batch", bat), ("soa", soa)):
+    for name, other in (("vectorized object", vec), ("soa", soa)):
         assert other.root == obj.root, f"{name} disagrees on the root"
         assert np.array_equal(other.parent, obj.parent), f"{name} disagrees on parents"
         assert np.array_equal(other.depth, obj.depth), f"{name} disagrees on depths"
@@ -150,7 +152,7 @@ def run_experiment(
     check_equivalence()
     sizes = SMOKE_SIZES if smoke else FULL_SIZES
     soa_only = () if smoke else FULL_SOA_ONLY
-    assert_n, assert_factor = SMOKE_ASSERT if smoke else FULL_ASSERT
+    gates = SMOKE_ASSERTS if smoke else FULL_ASSERTS
     worker_counts = _worker_counts(smoke, workers_cli)
 
     table = Table(
@@ -199,29 +201,19 @@ def run_experiment(
                 f"worker counts disagree on the tree at n={n}: {shas}"
             )
 
-        if engine_filter in (None, "vectorized"):
-            result = run_batch_rooting(graph, fr, rng=np.random.default_rng(1))
-            seconds = _time(
-                lambda: run_batch_rooting(graph, fr, rng=np.random.default_rng(1)),
-                repeats=1,
-            )
-            record(
-                n, "batch-nodes", None, seconds,
-                result.metrics.total_messages, _tree_sha(result),
-            )
-
-        if engine_filter == "legacy":
+        if engine_filter in (None, "legacy", "vectorized"):
+            engine = engine_filter or "legacy"
             result = run_protocol_rooting(
-                graph, fr, rng=np.random.default_rng(1), engine="legacy"
+                graph, fr, rng=np.random.default_rng(1), engine=engine
             )
             seconds = _time(
                 lambda: run_protocol_rooting(
-                    graph, fr, rng=np.random.default_rng(1), engine="legacy"
+                    graph, fr, rng=np.random.default_rng(1), engine=engine
                 ),
                 repeats=1,
             )
             record(
-                n, "object-nodes", None, seconds,
+                n, f"object-nodes/{engine}", None, seconds,
                 result.metrics.total_messages, _tree_sha(result),
             )
 
@@ -271,19 +263,19 @@ def run_experiment(
     table.show()
 
     if engine_filter is None and 1 in worker_counts:
-        t_soa = rows[(assert_n, "soa", 1)]
-        t_batch = rows[(assert_n, "batch-nodes", None)]
-        speedup = t_batch / t_soa
-        checks["soa_over_batch_speedup"] = {
-            "n": assert_n,
-            "speedup": round(speedup, 2),
-            "threshold": assert_factor,
-        }
-        print(f"n={assert_n}: SoA-over-batch (engine-controlled) speedup {speedup:.1f}x")
-        assert speedup >= assert_factor, (
-            f"SoA tier only {speedup:.1f}x faster than batch nodes at "
-            f"n={assert_n} (need >= {assert_factor}x)"
-        )
+        checks["soa_over_object_speedup"] = []
+        for assert_n, assert_factor in gates:
+            t_soa = rows[(assert_n, "soa", 1)]
+            t_object = rows[(assert_n, "object-nodes/legacy", None)]
+            speedup = t_object / t_soa
+            checks["soa_over_object_speedup"].append(
+                {"n": assert_n, "speedup": round(speedup, 2), "threshold": assert_factor}
+            )
+            print(f"n={assert_n}: SoA-over-object speedup {speedup:.1f}x")
+            assert speedup >= assert_factor, (
+                f"SoA tier only {speedup:.1f}x faster than object nodes at "
+                f"n={assert_n} (need >= {assert_factor}x)"
+            )
     return rows, json_rows, checks, worker_counts
 
 

@@ -2,26 +2,25 @@
 
 ISSUE 4's acceptance bar.  The footnote-2 synchroniser used to be the
 last per-node-only surface of the stack: delay/churn experiments paid one
-Python call per node per round, capping adversarial sweeps at batch
-scale.  The SoA synchroniser (`repro.scenarios.soa_sync`) holds the whole
+Python call per node per round, capping adversarial sweeps at small
+``n``.  The SoA synchroniser (`repro.scenarios.soa_sync`) holds the whole
 population's in-flight traffic in one flat delay queue (release-time
 column + stable bucketing), so a delayed round costs the same one call as
 a synchronous SoA round.
 
-Measured here, on the ring-plus-chords stand-in shared with S2/S3:
+Measured here, on the ring-plus-chords stand-in shared with S3:
 
 - an exact **≥ 12-seed equivalence matrix** before anything is timed:
   the SoA synchroniser is bit-for-bit equal to the per-node synchroniser
   *and* to the synchronous execution under the same seed (tree, metrics,
   rounds, delay observations);
-- wall-clock of the per-node synchroniser (batch nodes through
+- wall-clock of the per-node synchroniser (object nodes through
   ``run_with_asynchrony``) vs. the SoA synchroniser on the same delayed
-  rooting workload — both on vectorized delivery, so the synchroniser
-  is the only variable — with a **hard assert**: SoA ≥ 5× at
-  ``n = 10⁴``;
+  rooting workload — both on vectorized delivery — with a **hard
+  assert**: SoA ≥ 5× at ``n = 10⁴``;
 - a delay-scenario run completing at ``n = 10⁵`` on the SoA tier (a
   scale the per-node synchroniser cannot reach in reasonable time);
-- a named delay × drop × churn scenario grid executed on **all three
+- a named delay × drop × churn scenario grid executed on **both
   tiers** with identical fault streams per seed (differential check via
   ``tier_invariant_view``), written as machine-readable JSON.
 
@@ -63,7 +62,7 @@ GRID_SEEDS = (0, 1)
 
 
 def overlay_like_graph(n: int, seed: int) -> PortGraph:
-    """The S2/S3 ring-plus-chords family (shared in PortGraph)."""
+    """The S3 ring-plus-chords family (shared in PortGraph)."""
     return PortGraph.ring_with_chords(n, delta=DELTA, chords=NUM_CHORD_SETS, seed=seed)
 
 
@@ -89,7 +88,7 @@ def check_equivalence(seeds: int = EQUIVALENCE_SEEDS) -> None:
         fr = _flood_rounds(n)
         sync = run_soa_rooting(graph, fr, rng=np.random.default_rng(seed))
         per_node, rep_b = run_rooting_under_asynchrony(
-            graph, fr, max_delay=MAX_DELAY, rng=np.random.default_rng(seed), tier="batch"
+            graph, fr, max_delay=MAX_DELAY, rng=np.random.default_rng(seed), tier="object"
         )
         soa, rep_s = run_rooting_under_asynchrony(
             graph, fr, max_delay=MAX_DELAY, rng=np.random.default_rng(seed), tier="soa"
@@ -142,13 +141,13 @@ def run_experiment(smoke: bool, engine_filter: str | None = None):
 
         if engine_filter in (None, "vectorized"):
             result, report = run_rooting_under_asynchrony(
-                graph, fr, max_delay=MAX_DELAY, rng=np.random.default_rng(1), tier="batch"
+                graph, fr, max_delay=MAX_DELAY, rng=np.random.default_rng(1), tier="object"
             )
-            # Same best-of-N as the SoA stack: the asserted ratio stays an
-            # engine-controlled comparison, not best-of-2 vs best-of-1.
+            # Same best-of-N as the SoA stack: the asserted ratio compares
+            # best-of-2 with best-of-2, not with best-of-1.
             seconds = _time(
                 lambda: run_rooting_under_asynchrony(
-                    graph, fr, max_delay=MAX_DELAY, rng=np.random.default_rng(1), tier="batch"
+                    graph, fr, max_delay=MAX_DELAY, rng=np.random.default_rng(1), tier="object"
                 ),
                 repeats,
             )
@@ -176,7 +175,7 @@ def run_experiment(smoke: bool, engine_filter: str | None = None):
         t_per_node = rows[(ASSERT_N, "per-node")]
         speedup = t_per_node / t_soa
         print(
-            f"n={ASSERT_N}: SoA-synchroniser (engine-controlled) speedup {speedup:.1f}x"
+            f"n={ASSERT_N}: SoA-synchroniser over object nodes speedup {speedup:.1f}x"
         )
         assert speedup >= ASSERT_FACTOR, (
             f"SoA synchroniser only {speedup:.1f}x faster than the per-node "
@@ -186,11 +185,9 @@ def run_experiment(smoke: bool, engine_filter: str | None = None):
 
 
 def run_scenario_grid(grid: str = "smoke") -> dict:
-    """The named grid on all three tiers + the identical-fault-stream
+    """The named grid on both tiers + the identical-fault-stream
     differential check (ISSUE 4's ScenarioRunner acceptance)."""
-    runner = ScenarioRunner(
-        sizes=(GRID_N,), seeds=GRID_SEEDS, tiers=("object", "batch", "soa")
-    )
+    runner = ScenarioRunner(sizes=(GRID_N,), seeds=GRID_SEEDS, tiers=("object", "soa"))
     payload = runner.run_grid(grid)
     cells: dict[tuple, list[dict]] = {}
     for row in payload["rows"]:

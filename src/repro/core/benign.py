@@ -71,13 +71,29 @@ def undirected_edge_list(graph) -> tuple[int, list[tuple[int, int]]]:
 
     Directions are dropped (the paper treats the knowledge graph as
     undirected after the introduction round); self-loops and duplicate
-    edges are removed.
+    edges (including a multigraph's parallel edges) are removed.
+
+    Raises
+    ------
+    ValueError
+        If the node labels are not the integers ``0..n-1``; the message
+        names the first offending label.
     """
     if isinstance(graph, (nx.Graph, nx.DiGraph)):
         n = graph.number_of_nodes()
+        bad = next(
+            (v for v in graph.nodes if not (isinstance(v, (int, np.integer)) and 0 <= v < n)),
+            None,
+        )
+        if bad is not None:
+            raise ValueError(
+                f"node labels must be the integers 0..{n - 1}; label {bad!r} is "
+                f"outside that range (relabel first, e.g. with "
+                f"nx.convert_node_labels_to_integers)"
+            )
         edges = {
             (min(a, b), max(a, b))
-            for a, b in graph.edges
+            for a, b in graph.edges()
             if a != b
         }
         return n, sorted(edges)

@@ -56,12 +56,11 @@ def rooting_flood_rounds(n: int) -> int:
     return 2 * max(1, math.ceil(math.log2(max(2, n)))) + 2
 
 #: How step 3 (rooting) executes: ``"reference"`` runs the centralised
-#: adjacency-loop oracle of :mod:`repro.core.bfs`; ``"protocol"``,
-#: ``"batch"``, and ``"soa"`` run the real message-level protocol on the
-#: NCC0 simulator (object nodes, batched int64 columns, or the
-#: structure-of-arrays class of :mod:`repro.core.soa_rooting`).  All four
-#: produce the identical tree; ``"soa"`` is what keeps the pipeline
-#: practical at ``n ≥ 10⁶``.  Authoritative in
+#: adjacency-loop oracle of :mod:`repro.core.bfs`; ``"protocol"`` and
+#: ``"soa"`` run the real message-level protocol on the NCC0 simulator
+#: (object nodes, or the structure-of-arrays class of
+#: :mod:`repro.core.soa_rooting`).  All three produce the identical
+#: tree; ``"soa"`` is what keeps the pipeline practical at ``n ≥ 10⁶``.  Authoritative in
 #: :mod:`repro.runtime.context` (a leaf package, so the old
 #: cycle-avoiding mirror literal for the hybrid tuple is gone);
 #: re-exported here for compatibility, alongside ``EXPANDER_MODES`` (how
@@ -80,13 +79,12 @@ def _rooting_forest(
     ctx: RunContext | None = None,
 ) -> BFSForest:
     """Run the message-level rooting phase and adapt it to a BFSForest."""
-    from repro.core.protocol_tree import run_batch_rooting, run_protocol_rooting
+    from repro.core.protocol_tree import run_protocol_rooting
     from repro.core.soa_rooting import run_soa_rooting
 
     n = graph.n
     flood_rounds = rooting_flood_rounds(n)
     runner = {
-        "batch": run_batch_rooting,
         "soa": run_soa_rooting,
         "protocol": run_protocol_rooting,
     }[mode]
@@ -168,12 +166,11 @@ def _message_level_expander(
     nodes only keep their final ports), so ``history`` is empty and the
     round charge comes from the metrics' actual NCC0 round count.
     """
-    from repro.core.batch_protocol import run_batch_expander, run_soa_expander
+    from repro.core.batch_protocol import run_soa_expander
     from repro.core.protocol import run_protocol_expander
 
     runner = {
         "protocol": run_protocol_expander,
-        "batch": run_batch_expander,
         "soa": run_soa_expander,
     }[mode]
     result = runner(graph, params=params, rng=rng, ctx=ctx)
@@ -223,8 +220,8 @@ def build_well_formed_tree(
     rooting:
         One of :data:`ROOTING_MODES`: the centralised ``"reference"``
         oracle (default), or the message-level ``"protocol"`` /
-        ``"batch"`` / ``"soa"`` executions on the NCC0 simulator.  All
-        four build the identical tree; the SoA tier avoids per-node
+        ``"soa"`` executions on the NCC0 simulator.  All three build the
+        identical tree; the SoA tier avoids per-node
         Python calls entirely at large ``n``.
     expander:
         One of :data:`EXPANDER_MODES`: the fast ``"walks"`` array engine

@@ -39,7 +39,6 @@ __all__ = [
     "ExpanderNode",
     "ProtocolRunResult",
     "run_protocol_expander",
-    "run_expander_on_network",
     "prepare_network_inputs",
     "collect_final_graph",
 ]
@@ -83,12 +82,15 @@ class ExpanderNode(ProtocolNode):
         return round_no // span, round_no % span
 
     def _forward(self, origins: list[int]) -> list[Message]:
-        """Send each token along a uniformly random port."""
-        out: list[Message] = []
-        for origin in origins:
-            port = self.ports[int(self.rng.integers(0, self.params.delta))]
-            out.append(Message(self.node_id, port, "token", origin))
-        return out
+        """Send each token along a uniformly random port: one
+        ``⌊uniform·Δ⌋`` draw per node, the SoA tier's stream."""
+        if not origins:
+            return []
+        choices = (self.rng.random(len(origins)) * self.params.delta).astype(np.int64)
+        return [
+            Message(self.node_id, self.ports[c], "token", origin)
+            for c, origin in zip(choices.tolist(), origins)
+        ]
 
     def on_round(self, round_no: int, inbox: list[Message]) -> list[Message]:
         evolution, step = self._phase(round_no)
@@ -155,7 +157,7 @@ def prepare_network_inputs(
 
     Computes node count, adjacency lists, calibrated parameters, and the
     NCC0 capacity policy from an undirected networkx graph.  Used by both
-    the per-message runner below and the batched runner in
+    the per-message runner below and the SoA runner in
     :mod:`repro.core.batch_protocol`.
     """
     from repro.core.benign import undirected_edge_list
@@ -193,65 +195,6 @@ def collect_final_graph(nodes, n: int, delta: int) -> PortGraph:
     return PortGraph(ports=ports)
 
 
-def run_expander_on_network(
-    node_factory,
-    graph,
-    params: ExpanderParams | None = None,
-    rng: np.random.Generator | None = None,
-    capacity: CapacityPolicy | None = None,
-    engine: str = "vectorized",
-    rng_mode: str = "spawn",
-    *,
-    ctx: RunContext | None = None,
-) -> ProtocolRunResult:
-    """Shared scaffold for network-driven ``CreateExpander`` runs.
-
-    ``node_factory(node_id, neighbors, params, rng)`` builds one protocol
-    node; everything else (parameter calibration, RNG discipline, round
-    budget, final-graph assembly) is identical between the per-message
-    and batched node implementations.
-
-    ``rng_mode`` selects the randomness discipline:
-
-    - ``"spawn"`` (default, the historical stream): every node draws from
-      its own ``rng.spawn()`` child, the network from the last;
-    - ``"shared"``: ``rng.spawn(2)`` yields one *protocol* generator that
-      every node shares (drawing in node-iteration order) and one network
-      generator.  Because sequential ``Generator.random(k)`` draws
-      concatenate into one stream, this is exactly the discipline of the
-      SoA tier's single flat draw per round — which is what makes
-      :func:`repro.core.batch_protocol.run_soa_expander` bit-for-bit
-      comparable against batched nodes under matched seeds.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if rng_mode not in ("spawn", "shared"):
-        raise ValueError(f"rng_mode must be 'spawn' or 'shared', got {rng_mode!r}")
-    n, neighbors, params, capacity = prepare_network_inputs(graph, params, capacity)
-
-    if rng_mode == "spawn":
-        child_rngs = rng.spawn(n + 1)
-        node_rng = lambda v: child_rngs[v]  # noqa: E731
-        net_rng = child_rngs[n]
-    else:
-        proto_rng, net_rng = rng.spawn(2)
-        node_rng = lambda v: proto_rng  # noqa: E731
-    nodes = {
-        v: node_factory(v, neighbors[v], params, node_rng(v)) for v in range(n)
-    }
-    network = SyncNetwork(nodes, capacity, net_rng, engine=engine, ctx=ctx)
-    total_rounds = params.num_evolutions * (params.ell + 2)
-    metrics = network.run(max_rounds=total_rounds + 1)
-
-    final = collect_final_graph(nodes, n, params.delta)
-    return ProtocolRunResult(
-        final_graph=final,
-        metrics=metrics,
-        params=params,
-        rounds=metrics.rounds,
-    )
-
-
 def run_protocol_expander(
     graph,
     params: ExpanderParams | None = None,
@@ -271,7 +214,26 @@ def run_protocol_expander(
     engine (``"legacy"`` is the per-message oracle; both engines produce
     identical executions under the same seed).  ``ctx`` is threaded into
     the network (workers, tracer, fault hook, layout reuse).
+
+    ``rng.spawn(2)`` yields one *protocol* generator that every node
+    shares (drawing in node-iteration order) and one network generator.
+    Because sequential ``Generator.random(k)`` draws concatenate into one
+    stream, this is the discipline of the SoA tier's single flat draw per
+    round: the run is bit-for-bit
+    :func:`repro.core.batch_protocol.run_soa_expander` under the same
+    seed — same ports, metrics and rounds.
     """
-    return run_expander_on_network(
-        ExpanderNode, graph, params, rng, capacity, engine, ctx=ctx
+    if rng is None:
+        rng = np.random.default_rng(0)
+    n, neighbors, params, capacity = prepare_network_inputs(graph, params, capacity)
+    proto_rng, net_rng = rng.spawn(2)
+    nodes = {v: ExpanderNode(v, neighbors[v], params, proto_rng) for v in range(n)}
+    network = SyncNetwork(nodes, capacity, net_rng, engine=engine, ctx=ctx)
+    total_rounds = params.num_evolutions * (params.ell + 2)
+    metrics = network.run(max_rounds=total_rounds + 1)
+    return ProtocolRunResult(
+        final_graph=collect_final_graph(nodes, n, params.delta),
+        metrics=metrics,
+        params=params,
+        rounds=metrics.rounds,
     )

@@ -17,20 +17,19 @@ Every announcement is a real message subject to the NCC0 send/receive
 budgets.  A node sends at most one message per distinct neighbour per
 round (≤ `Δ` = the capacity), so no drops occur — asserted by the tests.
 
-Two node implementations execute the identical protocol:
+Two tiers execute the identical protocol:
 
 - :class:`_RootingNode` — per-:class:`~repro.net.message.Message` objects
   (:func:`run_protocol_rooting`), the plainly written oracle;
-- :class:`BatchRootingNode` — :class:`~repro.net.batch.MessageBatch`
-  int64 columns (:func:`run_batch_rooting`), whose BFS offers carry
-  ``(depth, offerer)`` pairs on the two payload lanes so the packet is
-  self-contained.  On the vectorized engine a round of flooding moves as
-  one flat buffer, which is what makes rooting practical at ``n ≥ 10⁵``
-  (see ``benchmarks/bench_s2_rooting_scaling.py``).
+- :class:`repro.core.soa_rooting.SoARootingClass` — the whole population
+  as int64 columns, one Python call per round
+  (:func:`repro.core.soa_rooting.run_soa_rooting`), whose BFS offers
+  carry ``(depth, offerer)`` pairs on the two payload lanes so the packet
+  is self-contained.
 
 Both produce bit-for-bit identical ``(root, parent, depth)`` arrays and
 metrics under the same seed — enforced by
-``tests/core/test_batch_rooting.py`` against each other and against the
+``tests/core/test_soa_engines.py`` against each other and against the
 reference :mod:`repro.core.bfs`.
 
 The final rebalancing (child–sibling + Euler tour) is charged
@@ -47,23 +46,15 @@ import numpy as np
 
 from repro.graphs.portgraph import PortGraph
 from repro.net.asynchrony import AsyncReport, run_with_asynchrony
-from repro.net.batch import KINDS, MessageBatch
+from repro.net.batch import KINDS
 from repro.net.message import Message
-from repro.net.network import (
-    BatchProtocolNode,
-    CapacityPolicy,
-    NetworkMetrics,
-    ProtocolNode,
-    SyncNetwork,
-)
+from repro.net.network import CapacityPolicy, NetworkMetrics, ProtocolNode, SyncNetwork
 
 __all__ = [
     "TreeProtocolResult",
-    "BatchRootingNode",
     "ROOTING_TIERS",
     "build_rooting_population",
     "run_protocol_rooting",
-    "run_batch_rooting",
     "run_rooting_under_asynchrony",
 ]
 
@@ -132,87 +123,6 @@ class _RootingNode(ProtocolNode):
         return self._done
 
 
-class BatchRootingNode(BatchProtocolNode):
-    """Batched flooding + BFS node: one :class:`MessageBatch` per round.
-
-    Identical round schedule and tie-breaks as :class:`_RootingNode`
-    (differentially tested); its BFS offers carry ``(depth, offerer)``
-    pairs on the two payload lanes, so the offer packet is self-contained
-    rather than leaning on the simulator's sender attribution.
-    """
-
-    def __init__(self, node_id: int, neighbors: list[int], flood_rounds: int) -> None:
-        super().__init__(node_id)
-        self.neighbors = np.asarray(sorted(set(neighbors)), dtype=np.int64)
-        self.flood_rounds = flood_rounds
-        self.best = node_id
-        self.parent = -1
-        self.depth = -1
-        self._announced_depth = False
-        self._done = False
-        # The flooding announcement is the same batch every round except
-        # for its payload value, so build it once and rewrite the payload
-        # buffer in place when ``best`` improves.  (Safe: delivery gathers
-        # payload columns into fresh arrays before the next round runs;
-        # only the *receivers* column is read-only by contract — the
-        # engine may freeze it and cache its grouping permutation — and
-        # it is never mutated here.)
-        deg = self.neighbors.shape[0]
-        self._flood_payloads = np.full(deg, node_id, dtype=np.int64)
-        self._flood_batch = (
-            MessageBatch._raw(node_id, self.neighbors, MIN_ID, self._flood_payloads)
-            if deg
-            else None
-        )
-
-    def on_round_batch(self, round_no: int, inbox: MessageBatch) -> MessageBatch | None:
-        out: MessageBatch | None = None
-        if round_no <= self.flood_rounds:
-            # Same final-inbox rule as the object node: round
-            # ``flood_rounds`` still folds in the last flooding wave.
-            heard = inbox.payloads_of_kind(MIN_ID)
-            if heard.shape[0]:
-                low = heard.min()
-                if low < self.best:
-                    self.best = int(low)
-                    self._flood_payloads[:] = self.best
-            if round_no < self.flood_rounds:
-                return self._flood_batch
-            if self.best == self.node_id:
-                self.parent = self.node_id
-                self.depth = 0
-
-        if self.parent < 0:
-            offers = inbox.of_kind(BFS_OFFER)
-            if len(offers):
-                depths = offers.payloads
-                offerers = offers.payloads2
-                # Offers arriving in one round are level-synchronous (all
-                # the same depth), so the lexicographic (depth, offerer)
-                # minimum reduces to the object node's min-sender rule —
-                # while also guarding the mixed-depth case.
-                j = int(np.lexsort((offerers, depths))[0])
-                self.parent = int(offerers[j])
-                self.depth = int(depths[j]) + 1
-        if self.parent >= 0 and not self._announced_depth:
-            self._announced_depth = True
-            targets = self.neighbors[self.neighbors != self.parent]
-            k = targets.shape[0]
-            if k:
-                out = MessageBatch._raw(
-                    self.node_id,
-                    targets,
-                    BFS_OFFER,
-                    np.full(k, self.depth, dtype=np.int64),
-                    np.full(k, self.node_id, dtype=np.int64),
-                )
-        self._done = self.parent >= 0 and self._announced_depth
-        return out
-
-    def is_idle(self) -> bool:
-        return self._done
-
-
 @dataclass
 class TreeProtocolResult:
     """Outcome of the message-level rooting phase."""
@@ -224,24 +134,22 @@ class TreeProtocolResult:
     rounds: int
 
 
-def _build_nodes(
-    graph: PortGraph, flood_rounds: int, node_cls
-) -> dict[int, ProtocolNode]:
-    # Both node constructors normalise with sorted(set(...)) themselves.
+def _build_nodes(graph: PortGraph, flood_rounds: int) -> dict[int, ProtocolNode]:
+    # The node constructor normalises with sorted(set(...)) itself.
     neighbor_sets = graph.neighbor_sets()
     return {
-        v: node_cls(v, neighbor_sets[v], flood_rounds) for v in range(graph.n)
+        v: _RootingNode(v, neighbor_sets[v], flood_rounds) for v in range(graph.n)
     }
 
 
-def build_rooting_population(graph: PortGraph, flood_rounds: int, tier: str = "batch"):
-    """Construct the rooting protocol at any execution tier.
+def build_rooting_population(graph: PortGraph, flood_rounds: int, tier: str = "soa"):
+    """Construct the rooting protocol at either execution tier.
 
-    Returns a node dict (``"object"`` / ``"batch"``) or the SoA
-    population class (``"soa"``) — whatever
-    :class:`~repro.net.network.SyncNetwork` (or the asynchrony
-    synchronisers) accepts directly.  All three run the identical
-    protocol; the scenario runner and the S4 bench select among them.
+    Returns a node dict (``"object"``) or the SoA population class
+    (``"soa"``) — whatever :class:`~repro.net.network.SyncNetwork` (or
+    the asynchrony synchronisers) accepts directly.  Both run the
+    identical protocol; the scenario runner and the S4 bench select
+    between them.
     """
     if tier == "soa":
         # Lazy import: soa_rooting imports this module at load time.
@@ -252,9 +160,7 @@ def build_rooting_population(graph: PortGraph, flood_rounds: int, tier: str = "b
         from repro.runtime import validate_tier
 
         validate_tier("rooting", tier)
-    return _build_nodes(
-        graph, flood_rounds, BatchRootingNode if tier == "batch" else _RootingNode
-    )
+    return _build_nodes(graph, flood_rounds)
 
 
 def _collect_result(
@@ -295,26 +201,6 @@ def _resolve_defaults(
     return rng, capacity, max_rounds
 
 
-def _run_rooting(
-    node_cls,
-    graph: PortGraph,
-    flood_rounds: int,
-    rng: np.random.Generator | None,
-    capacity: CapacityPolicy | None,
-    max_rounds: int | None,
-    engine: str,
-    ctx: RunContext | None = None,
-) -> TreeProtocolResult:
-    """Shared scaffold for the object and batched rooting runners."""
-    rng, capacity, max_rounds = _resolve_defaults(
-        graph, flood_rounds, rng, capacity, max_rounds
-    )
-    nodes = _build_nodes(graph, flood_rounds, node_cls)
-    network = SyncNetwork(nodes, capacity, rng, engine=engine, ctx=ctx)
-    metrics = network.run(max_rounds=max_rounds)
-    return _collect_result(nodes, graph.n, metrics)
-
-
 def run_protocol_rooting(
     graph: PortGraph,
     flood_rounds: int,
@@ -352,33 +238,13 @@ def run_protocol_rooting(
         If the BFS fails to span within ``max_rounds`` (disconnected
         input or starved capacity).
     """
-    return _run_rooting(
-        _RootingNode, graph, flood_rounds, rng, capacity, max_rounds, engine, ctx
+    rng, capacity, max_rounds = _resolve_defaults(
+        graph, flood_rounds, rng, capacity, max_rounds
     )
-
-
-def run_batch_rooting(
-    graph: PortGraph,
-    flood_rounds: int,
-    rng: np.random.Generator | None = None,
-    capacity: CapacityPolicy | None = None,
-    max_rounds: int | None = None,
-    engine: str = "vectorized",
-    *,
-    ctx: RunContext | None = None,
-) -> TreeProtocolResult:
-    """Batched counterpart of :func:`run_protocol_rooting`.
-
-    Drop-in: same inputs, same :class:`TreeProtocolResult`, bit-for-bit
-    identical ``(root, parent, depth)`` and metrics under the same seed —
-    only the message representation (int64 columns vs. objects) differs.
-    Running batch nodes on the ``"legacy"`` engine is supported (messages
-    materialise at the network boundary) and is how the differential
-    tests cross-check the vectorized path.
-    """
-    return _run_rooting(
-        BatchRootingNode, graph, flood_rounds, rng, capacity, max_rounds, engine, ctx
-    )
+    nodes = _build_nodes(graph, flood_rounds)
+    network = SyncNetwork(nodes, capacity, rng, engine=engine, ctx=ctx)
+    metrics = network.run(max_rounds=max_rounds)
+    return _collect_result(nodes, graph.n, metrics)
 
 
 def run_rooting_under_asynchrony(
@@ -389,18 +255,16 @@ def run_rooting_under_asynchrony(
     capacity: CapacityPolicy | None = None,
     max_rounds: int | None = None,
     engine: str = "vectorized",
-    batched: bool = True,
-    tier: str | None = None,
+    tier: str = "soa",
     fault_hook=None,
     *,
     ctx: RunContext | None = None,
 ) -> tuple[TreeProtocolResult, AsyncReport]:
-    """Rooting under the footnote-2 synchroniser, batched by default.
+    """Rooting under the footnote-2 synchroniser, on the SoA tier by default.
 
     Convenience wiring for churn/delay workloads: builds the rooting
-    population at the chosen execution ``tier`` (``"object"`` /
-    ``"batch"`` / ``"soa"``; defaults to ``"batch"``, or ``"object"``
-    with the older ``batched=False`` switch), runs it through
+    population at the chosen execution ``tier`` (``"object"`` or
+    ``"soa"``), runs it through
     :func:`repro.net.asynchrony.run_with_asynchrony` — the SoA tier lands
     on the columnar delay-queue synchroniser of
     :mod:`repro.scenarios.soa_sync` — and returns the usual
@@ -410,8 +274,6 @@ def run_rooting_under_asynchrony(
     tier.  ``fault_hook`` threads an adversarial scenario's compiled
     injector into the network.
     """
-    if tier is None:
-        tier = "batch" if batched else "object"
     rng, capacity, max_rounds = _resolve_defaults(
         graph, flood_rounds, rng, capacity, max_rounds
     )

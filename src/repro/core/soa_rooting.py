@@ -1,13 +1,13 @@
 """SoA rooting: min-id flooding + BFS with *one* Python call per round.
 
-The third execution tier of the rooting phase (§2.1, footnote 8).  The
-object (:class:`~repro.core.protocol_tree._RootingNode`) and batch
-(:class:`~repro.core.protocol_tree.BatchRootingNode`) tiers pay one Python
-call per node per round; at ``n ≥ 10⁵`` that call overhead — not message
-work — dominates the simulation (rooting does almost no per-node compute,
-making it the most call-bound phase of the pipeline).  Here the entire
-population is one :class:`~repro.net.soa.SoAProtocolClass` whose state
-lives in shared numpy columns:
+The production tier of the rooting phase (§2.1, footnote 8).  The object
+tier (:class:`~repro.core.protocol_tree._RootingNode`) pays one Python
+call per node per round and one object per message; at ``n ≥ 10⁵`` that
+overhead — not message work — dominates the simulation (rooting does
+almost no per-node compute, making it the most call-bound phase of the
+pipeline).  Here the entire population is one
+:class:`~repro.net.soa.SoAProtocolClass` whose state lives in shared
+numpy columns:
 
 - ``best``   — the smallest id heard so far (min-id flooding),
 - ``parent`` / ``depth`` — the BFS tree under construction,
@@ -19,19 +19,18 @@ nodes: the flooding fold is a ``minimum.reduceat`` over receiver
 segments, parent adoption is a lexicographic ``(depth, offerer)`` segment
 minimum, and the round's outgoing traffic is emitted as a single
 :class:`~repro.net.batch.MessageBatch` in canonical order (ascending
-sender, sorted-neighbour emission order — exactly the flat buffer the
-per-node tiers produce).
+sender, sorted-neighbour emission order — exactly the order the object
+nodes emit in).
 
 Because rooting nodes draw no randomness of their own and the SoA batch
 enters :class:`~repro.net.network.SyncNetwork`'s vectorized delivery in
 the identical canonical order, :func:`run_soa_rooting` is **bit-for-bit**
-equal to :func:`~repro.core.protocol_tree.run_batch_rooting` (and hence
-to the object protocol and the reference BFS): same ``(root, parent,
-depth)``, same metrics, same round count under the same seed — enforced
-over a 20-seed matrix by ``tests/core/test_soa_engines.py``.  What
-changes is the constant: ≥ 20× over the batch tier at ``n = 10⁵`` and a
-practical ``n = 10⁶`` rooting run
-(``benchmarks/bench_s3_soa_scaling.py``).
+equal to :func:`~repro.core.protocol_tree.run_protocol_rooting` (and
+hence to the reference BFS): same ``(root, parent, depth)``, same
+metrics, same round count under the same seed — enforced over a 20-seed
+matrix by ``tests/core/test_soa_engines.py``.  What changes is the
+constant: ≥ 20× over the object tier at ``n = 10⁵`` and a practical
+``n = 10⁶`` rooting run (``benchmarks/bench_s3_soa_scaling.py``).
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ def csr_neighbors(graph: PortGraph) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(indptr, flat)`` with ``flat[indptr[v]:indptr[v+1]]`` the
     sorted distinct non-self neighbours of ``v`` — the vectorized
-    equivalent of ``sorted(set(neighbors))`` that the per-node rooting
-    tiers compute, built without any per-node Python loop (which is what
+    equivalent of ``sorted(set(neighbors))`` that the object rooting
+    nodes compute, built without any per-node Python loop (which is what
     keeps ``n = 10⁶`` setup times sane).
     """
     n = graph.n
@@ -89,11 +88,13 @@ def csr_neighbors(graph: PortGraph) -> tuple[np.ndarray, np.ndarray]:
 class SoARootingClass(SoAProtocolClass):
     """Every node of the flooding + BFS protocol, in columnar form.
 
-    Mirrors :class:`~repro.core.protocol_tree.BatchRootingNode` exactly —
+    Mirrors :class:`~repro.core.protocol_tree._RootingNode` exactly —
     same round schedule (flood through round ``flood_rounds`` with the
-    final wave's inbox still folded in, then BFS), same ``(depth,
-    offerer)`` offer packets on the two payload lanes, same lexicographic
-    tie-break — just over all nodes at once.
+    final wave's inbox still folded in, then BFS), same parent choice —
+    just over all nodes at once.  Its BFS offers carry ``(depth,
+    offerer)`` pairs on the two payload lanes; offers arriving in one
+    round are level-synchronous, so the lexicographic minimum is the
+    object node's smallest-sender rule.
     """
 
     def __init__(self, indptr: np.ndarray, flat: np.ndarray, flood_rounds: int) -> None:
@@ -125,7 +126,7 @@ class SoARootingClass(SoAProtocolClass):
         if round_no <= self.flood_rounds:
             # Flooding fold — the round-``flood_rounds`` inbox (the last
             # wave) is still processed, the same boundary rule as the
-            # per-node tiers.
+            # object tier.
             heard = inbox.of_kind(MIN_ID)
             if len(heard):
                 nodes, mins = heard.min_by_receiver(heard.payloads)
@@ -196,7 +197,7 @@ def run_soa_rooting(
     *,
     ctx: RunContext | None = None,
 ) -> TreeProtocolResult:
-    """SoA counterpart of :func:`~repro.core.protocol_tree.run_batch_rooting`.
+    """SoA counterpart of :func:`~repro.core.protocol_tree.run_protocol_rooting`.
 
     Drop-in: same inputs, same :class:`TreeProtocolResult`, bit-for-bit
     identical ``(root, parent, depth)``, metrics, and round count under
@@ -229,7 +230,7 @@ def run_soa_rooting(
 
 
 def collect_soa_result(cls: SoARootingClass, metrics) -> TreeProtocolResult:
-    """Columnar result validation (the per-node tiers' ``_collect_result``
+    """Columnar result validation (the object tier's ``_collect_result``
     without the per-node loop); shared with the asynchrony path."""
     parent = cls.parent
     depth = cls.depth

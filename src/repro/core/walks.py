@@ -31,38 +31,21 @@ __all__ = ["WalkResult", "run_token_walks", "sample_port_targets"]
 def sample_port_targets(
     ports: np.ndarray,
     rng: np.random.Generator,
-    positions: np.ndarray | None = None,
-    count: int | None = None,
+    positions: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One uniformly random port draw per token — the §2.1 forwarding step.
 
-    Two call modes:
-
-    - **matrix mode** (``positions`` given): ``ports`` is the full
-      ``(n, Δ)`` port matrix and the draw advances every token in the
-      system at once — the fast engine's inner loop.  Uses
-      ``rng.integers`` (unchanged from the original engine, preserving
-      seeded histories);
-    - **row mode** (``count`` given): ``ports`` is a single node's
-      ``(Δ,)`` port row and the draw forwards the ``count`` tokens
-      currently resident at that node — the batch protocol node's inner
-      loop.  Uses ``⌊uniform·Δ⌋`` instead: at per-node call granularity
-      the ``Generator.integers`` wrapper overhead dominates the whole
-      protocol run, and the scaled-uniform draw is equidistributed up to
-      float rounding (≈``2⁻⁵³·Δ`` bias, far below anything the
-      chi-square suites could detect).
+    ``ports`` is the full ``(n, Δ)`` port matrix and the draw advances
+    every token in the system at once — the fast engine's inner loop.
+    Uses ``rng.integers`` (unchanged from the original engine, preserving
+    seeded histories).  The message-level tiers draw ``⌊uniform·Δ⌋``
+    instead (see :class:`repro.core.protocol.ExpanderNode`).
 
     Returns ``(choices, targets)``: the port index each token picked and
     the node it lands on.
     """
-    delta = ports.shape[-1]
-    if positions is not None:
-        choices = rng.integers(0, delta, size=positions.shape[0])
-        return choices, ports[positions, choices]
-    if count is None:
-        raise ValueError("row mode requires count; matrix mode requires positions")
-    choices = (rng.random(count) * delta).astype(np.int64)
-    return choices, ports[choices]
+    choices = rng.integers(0, ports.shape[1], size=positions.shape[0])
+    return choices, ports[positions, choices]
 
 
 @dataclass

@@ -15,7 +15,7 @@ that claim (used by the X3 bench and the ``churn_recovery`` example):
   with its fragile input topology;
 - :func:`rebuild_survivor_overlay` — the paper's "throw away and
   reconstruct" step: re-run the Theorem 1.1 pipeline on the largest
-  surviving component, on any execution tier (``rooting="batch"`` by
+  surviving component, on any execution tier (``rooting="soa"`` by
   default, so churn re-runs no longer drive the object-level paths).
 """
 
@@ -146,7 +146,7 @@ def rebuild_survivor_overlay(
     of nodes, take the largest surviving component, and re-run
     :func:`repro.core.pipeline.build_well_formed_tree` on it — with the
     rooting (and optionally expander) phase on the chosen execution tier,
-    batched by default.  The build draws from ``rng.spawn()`` *after* the
+    the SoA tier by default.  The build draws from ``rng.spawn()`` *after* the
     churn draw, so under a matched seed every tier reconstructs the
     identical survivor overlay (the regression pinned by
     ``tests/graphs/test_churn.py``).
@@ -192,10 +192,7 @@ def rebuild_survivor_overlay(
         from repro.runtime import validate_tier
 
         validate_tier("hybrid", hybrid)
-        if params is not None or rooting not in (None, "batch") or expander not in (
-            None,
-            "walks",
-        ):
+        if params is not None or rooting is not None or expander is not None:
             raise ValueError(
                 "params/rooting/expander configure the Theorem 1.1 rebuild "
                 "and are ignored by the hybrid pipeline — pass overlay_params "
@@ -245,9 +242,9 @@ def rebuild_survivor_overlay(
             if u > v:
                 g.add_edge(relabel[v], relabel[u])
     if ctx is None:
-        # Historical defaults: the Theorem 1.1 rebuild runs the batched
-        # rooting tier (not the pipeline's "reference" oracle).
-        rooting = rooting if rooting is not None else "batch"
+        # The Theorem 1.1 rebuild defaults to the SoA rooting tier, not
+        # the pipeline's "reference" oracle.
+        rooting = rooting if rooting is not None else "soa"
         expander = expander if expander is not None else "walks"
     overlay = build_well_formed_tree(
         g, params=params, rng=build_rng, rooting=rooting, expander=expander, ctx=ctx

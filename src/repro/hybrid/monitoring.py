@@ -92,7 +92,7 @@ class NetworkMonitor:
                 raise ValueError("monitoring requires a connected network")
             return RootedTree(root=bfs.roots[0], parent=bfs.parent.copy())
 
-        from repro.core.protocol_tree import run_batch_rooting, run_protocol_rooting
+        from repro.core.protocol_tree import run_protocol_rooting
         from repro.core.soa_rooting import run_soa_rooting
         from repro.graphs.analysis import diameter, is_connected
         from repro.graphs.portgraph import PortGraph
@@ -111,7 +111,6 @@ class NetworkMonitor:
         )
         runner = {
             "protocol": run_protocol_rooting,
-            "batch": run_batch_rooting,
             "soa": run_soa_rooting,
         }[rooting]
         result = runner(pg, flood_rounds=max(1, diameter(self.adj)))

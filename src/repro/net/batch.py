@@ -1,11 +1,10 @@
-"""Array-backed message batches for the vectorized network engine.
+"""The emission record of structure-of-arrays protocol classes.
 
-A :class:`MessageBatch` is the flat-array counterpart of a list of
-:class:`repro.net.message.Message` objects: four parallel ``int64`` columns
-(sender, receiver, kind code, payload).  Protocol nodes that implement
-:class:`repro.net.network.BatchProtocolNode` exchange batches instead of
-per-message objects, which lets the vectorized engine move a whole round of
-traffic through numpy without ever materialising Python objects.
+A :class:`MessageBatch` is one round of a whole SoA population's traffic
+(:meth:`repro.net.soa.SoAProtocolClass.on_round_soa`): parallel ``int64``
+columns (sender, receiver, kind code, payload) that the vectorized
+delivery tail of :class:`repro.net.network.SyncNetwork` moves through
+numpy without materialising Python message objects.
 
 Design notes
 ------------
@@ -13,26 +12,19 @@ Design notes
   "accept", …); the module-level :data:`KINDS` table maps them to small
   integer codes so batches stay pure ``int64``.  The table is append-only
   and process-global — the handful of protocol kinds never collide.
-- **Scalar broadcasting.**  ``senders`` and ``kinds`` may be stored as a
-  scalar when uniform across the batch (the overwhelmingly common case: a
-  node emits one batch of one kind per round).  This keeps per-node
-  construction O(1) python work; ``senders_array()`` etc. materialise full
-  columns on demand.
+  ``kinds`` may be stored as a scalar when uniform across the batch (the
+  common case: a protocol round emits one kind).
 - **Payloads are integers.**  A batch payload is one ``int64`` per message
   — or an ``(int64, int64)`` pair when the optional second payload lane
   ``payloads2`` is attached (e.g. the rooting phase's ``(depth, offerer)``
   BFS offers).  Either shape matches the paper's ``O(log n)``-bit packets.
-  Object messages whose payloads are neither integers nor integer pairs
-  cannot be delivered to a batch node — the engine raises ``TypeError``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.net.message import Message
-
-__all__ = ["KindTable", "KINDS", "MessageBatch", "pair_payload"]
+__all__ = ["KindTable", "KINDS", "MessageBatch"]
 
 
 class KindTable:
@@ -59,34 +51,18 @@ class KindTable:
 KINDS = KindTable()
 
 
-def pair_payload(payload) -> tuple[int, int] | None:
-    """``(a, b)`` if ``payload`` is a pair of integers, else ``None``.
-
-    The single predicate deciding which object-message payloads map onto
-    the two batch payload lanes; shared by :meth:`MessageBatch.from_messages`
-    and the vectorized engine's object-chunk packing.
-    """
-    if isinstance(payload, tuple) and len(payload) == 2:
-        a, b = payload
-        if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-            return int(a), int(b)
-    return None
-
-
 def _as_column(value, length: int, what: str) -> np.ndarray:
     arr = np.asarray(value, dtype=np.int64)
-    if arr.ndim == 0:
-        return np.full(length, int(arr), dtype=np.int64)
-    if arr.shape[0] != length:
-        raise ValueError(f"{what} column has length {arr.shape[0]}, expected {length}")
+    if arr.shape != (length,):
+        raise ValueError(f"{what} column has shape {arr.shape}, expected ({length},)")
     return arr
 
 
 class MessageBatch:
     """A flat batch of messages: parallel int64 columns.
 
-    ``receivers`` and ``payloads`` are always arrays; ``senders`` and
-    ``kinds`` may be scalars meaning "uniform across the batch".
+    ``senders``, ``receivers`` and ``payloads`` are arrays; ``kinds`` is a
+    scalar code meaning "uniform across the batch" or a column.
     ``payloads2`` is an optional second payload lane (``None`` when the
     batch carries single-integer payloads): protocols whose packets are
     integer *pairs* — e.g. the rooting phase's ``(depth, offerer)`` BFS
@@ -101,11 +77,11 @@ class MessageBatch:
         if self.receivers.ndim != 1:
             raise ValueError("receivers must be a 1-d array")
         m = self.receivers.shape[0]
-        # Scalars are normalised to python ints so hot-path code can test
-        # ``type(x) is np.ndarray`` to distinguish the broadcast case.
-        self.senders = int(senders) if np.ndim(senders) == 0 else _as_column(senders, m, "senders")
+        self.senders = _as_column(senders, m, "senders")
         if isinstance(kinds, str):
             kinds = KINDS.code(kinds)
+        # A scalar is normalised to a python int so hot-path code can test
+        # ``type(x) is np.ndarray`` to distinguish the uniform case.
         self.kinds = int(kinds) if np.ndim(kinds) == 0 else _as_column(kinds, m, "kinds")
         if payloads is None:
             payloads = np.zeros(m, dtype=np.int64)
@@ -114,14 +90,13 @@ class MessageBatch:
             None if payloads2 is None else _as_column(payloads2, m, "payloads2")
         )
 
-    # ------------------------------------------------------------------
     @classmethod
     def _raw(cls, senders, receivers, kinds, payloads, payloads2=None) -> "MessageBatch":
-        """Unvalidated constructor for engine/protocol hot paths.
+        """Unvalidated constructor for protocol hot paths.
 
         Columns are stored exactly as given (arrays may be views into
-        round buffers; scalars stay scalars) — callers own the invariants
-        the public constructor would otherwise check.
+        protocol state) — callers own the invariants the public
+        constructor would otherwise check.
         """
         batch = object.__new__(cls)
         batch.senders = senders
@@ -134,131 +109,5 @@ class MessageBatch:
     def __len__(self) -> int:
         return self.receivers.shape[0]
 
-    def senders_array(self) -> np.ndarray:
-        if type(self.senders) is not np.ndarray:
-            return np.full(len(self), int(self.senders), dtype=np.int64)
-        return self.senders
-
-    def kinds_array(self) -> np.ndarray:
-        if type(self.kinds) is not np.ndarray:
-            return np.full(len(self), int(self.kinds), dtype=np.int64)
-        return self.kinds
-
-    # ------------------------------------------------------------------
-    def payloads_of_kind(self, kind: int) -> np.ndarray:
-        """Primary payload column of the messages of kind ``kind``.
-
-        The cheap single-lane filter used by protocol hot paths (no
-        sub-batch object, no sender/secondary-lane indexing).
-        """
-        kinds = self.kinds
-        if type(kinds) is np.ndarray:
-            return self.payloads[kinds == kind]
-        return self.payloads if kinds == kind else _NO_COLUMN
-
-    def of_kind(self, kind: int) -> "MessageBatch":
-        """Sub-batch of the messages of kind ``kind`` (columns as views)."""
-        kinds = self.kinds
-        if type(kinds) is not np.ndarray:
-            return self if kinds == kind else _EMPTY
-        mask = kinds == kind
-        senders = self.senders
-        return MessageBatch._raw(
-            senders[mask] if type(senders) is np.ndarray else senders,
-            self.receivers[mask],
-            kind,
-            self.payloads[mask],
-            self.payloads2[mask] if self.payloads2 is not None else None,
-        )
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def empty(cls) -> "MessageBatch":
-        """The shared empty batch (treat as immutable)."""
-        return _EMPTY
-
-    @classmethod
-    def concat(cls, batches: list["MessageBatch"]) -> "MessageBatch":
-        batches = [b for b in batches if len(b)]
-        if not batches:
-            return cls.empty()
-        if len(batches) == 1:
-            return batches[0]
-        if any(b.payloads2 is not None for b in batches):
-            # Lane-less batches zero-fill the secondary lane — the same
-            # convention ``from_messages`` applies to mixed inboxes.
-            payloads2 = np.concatenate(
-                [
-                    b.payloads2
-                    if b.payloads2 is not None
-                    else np.zeros(len(b), dtype=np.int64)
-                    for b in batches
-                ]
-            )
-        else:
-            payloads2 = None
-        return cls(
-            np.concatenate([b.senders_array() for b in batches]),
-            np.concatenate([b.receivers for b in batches]),
-            np.concatenate([b.kinds_array() for b in batches]),
-            np.concatenate([b.payloads for b in batches]),
-            payloads2,
-        )
-
-    @classmethod
-    def from_messages(cls, messages: list[Message]) -> "MessageBatch":
-        """Convert object messages (integer or integer-pair payloads) to a
-        batch.  A pair payload ``(a, b)`` lands in the two payload lanes;
-        in a mixed batch the single-integer messages zero-fill lane two."""
-        m = len(messages)
-        senders = np.empty(m, dtype=np.int64)
-        receivers = np.empty(m, dtype=np.int64)
-        kinds = np.empty(m, dtype=np.int64)
-        payloads = np.empty(m, dtype=np.int64)
-        payloads2 = None
-        for i, msg in enumerate(messages):
-            if isinstance(msg.payload, (int, np.integer)):
-                payloads[i] = msg.payload
-            else:
-                pair = pair_payload(msg.payload)
-                if pair is None:
-                    raise TypeError(
-                        f"batch conversion requires integer or integer-pair "
-                        f"payloads, got {type(msg.payload).__name__} in {msg!r}"
-                    )
-                if payloads2 is None:
-                    payloads2 = np.zeros(m, dtype=np.int64)
-                payloads[i], payloads2[i] = pair
-            senders[i] = msg.sender
-            receivers[i] = msg.receiver
-            kinds[i] = KINDS.code(msg.kind)
-        return cls(senders, receivers, kinds, payloads, payloads2)
-
-    def to_messages(self) -> list[Message]:
-        """Materialise per-message objects (interop with object nodes).
-
-        A batch with a secondary payload lane yields pair payloads.
-        """
-        senders = self.senders_array()
-        kinds = self.kinds_array()
-        if self.payloads2 is not None:
-            return [
-                Message(
-                    int(senders[i]),
-                    int(self.receivers[i]),
-                    KINDS.name(int(kinds[i])),
-                    (int(self.payloads[i]), int(self.payloads2[i])),
-                )
-                for i in range(len(self))
-            ]
-        return [
-            Message(int(senders[i]), int(self.receivers[i]), KINDS.name(int(kinds[i])), int(self.payloads[i]))
-            for i in range(len(self))
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MessageBatch(len={len(self)})"
-
-
-_NO_COLUMN = np.empty(0, dtype=np.int64)
-_EMPTY = MessageBatch._raw(0, np.empty(0, dtype=np.int64), 0, np.empty(0, dtype=np.int64))

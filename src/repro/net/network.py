@@ -34,11 +34,12 @@ cap, and self-addressed messages bypass the network entirely.  Under the
 same seed the two engines therefore deliver *identical* inboxes and
 metrics, which ``tests/net/test_engine_equivalence.py`` enforces.
 
-Nodes come in two flavours: :class:`ProtocolNode` (per-message objects)
-and :class:`BatchProtocolNode` (array batches, see
-:mod:`repro.net.batch`).  Either kind runs on either engine; batch nodes
-on the vectorized engine never materialise Python message objects, which
-is what makes large-``n`` runs practical.
+A network runs one of two populations: a dict of :class:`ProtocolNode`
+objects (per-message :class:`Message` objects, either engine — the
+plainly written oracle tier), or one :class:`SoAProtocolClass` holding
+every node's state in numpy columns (vectorized engine only).  An SoA
+round never materialises Python message objects, which is what makes
+large-``n`` runs practical.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro import sanitize as _sanitize
-from repro.net.batch import KINDS, MessageBatch, pair_payload
+from repro.net.batch import MessageBatch
 from repro.net.message import Message
 from repro.net.soa import SoAInbox, SoAProtocolClass
 from repro.net.vectorops import group_sort, segmented_keep_indices
@@ -65,7 +66,6 @@ __all__ = [
     "NodeCounts",
     "RoundMetricsView",
     "ProtocolNode",
-    "BatchProtocolNode",
     "SoAProtocolClass",
     "SoAInbox",
     "SyncNetwork",
@@ -191,62 +191,30 @@ class _Lanes:
     """One round's traffic as parallel columns: the delivery tail's record.
 
     ``rcv`` (receiver ids, node indices once mapped) and ``snd`` (sender
-    indices) are always arrays.  The other lanes follow
-    :class:`SoAInbox`'s conventions: ``kinds`` is a scalar code for a
-    uniform round or a column; ``pay2`` is the optional pair-payload lane.
-    The remaining lanes exist only for object-node interop: ``pay`` is
-    ``None`` only on object-only rounds (no batch node can receive, so
-    ``objs`` carries everything); ``ok`` marks payloads a batch node can
-    accept (``None``: all of them); ``has2`` marks rows that carry
-    ``pay2`` (``None``: every row does); ``objs`` holds the emitted
-    :class:`Message` of object-node rows and ``None`` for batch rows.
-    An absent lane stays ``None`` through :meth:`take` and :meth:`concat`
-    and is never materialised.
+    indices) are always arrays.  An object round carries the emitted
+    :class:`Message` objects in ``objs`` and no payload lanes.  An SoA
+    round follows :class:`SoAInbox`'s conventions: ``kinds`` is a scalar
+    code for a uniform round or a column, ``pay`` the payload column and
+    ``pay2`` the optional pair-payload lane.  An absent lane stays
+    ``None`` through :meth:`take` and is never materialised.
     """
 
     rcv: np.ndarray
     snd: np.ndarray
-    kinds: int | np.ndarray
-    pay: np.ndarray | None
-    ok: np.ndarray | None = None
+    kinds: int | np.ndarray = 0
+    pay: np.ndarray | None = None
     pay2: np.ndarray | None = None
-    has2: np.ndarray | None = None
-    objs: list[Message | None] | None = None
+    objs: list[Message] | None = None
 
     @classmethod
-    def from_messages(cls, msgs: list[Message], sender: int, codes: bool) -> "_Lanes":
-        """Pack one object node's messages.  Kind codes and payload lanes
-        are built only when ``codes`` is set, i.e. when some batch node
-        could receive them; otherwise the objects travel alone."""
-        k = len(msgs)
-        rcv = np.fromiter((m.receiver for m in msgs), dtype=np.int64, count=k)
-        snd = np.full(k, sender, dtype=np.int64)
-        if not codes:
-            return cls(rcv, snd, 0, None, objs=msgs)
-        kinds = np.fromiter((KINDS.code(m.kind) for m in msgs), dtype=np.int64, count=k)
-        pay = np.zeros(k, dtype=np.int64)
-        pay2 = np.zeros(k, dtype=np.int64)
-        ok = np.ones(k, dtype=bool)
-        has2 = np.zeros(k, dtype=bool)
-        for i, m in enumerate(msgs):
-            if isinstance(m.payload, (int, np.integer)):
-                pay[i] = int(m.payload)
-            elif (pair := pair_payload(m.payload)) is None:
-                ok[i] = False
-            else:
-                pay[i], pay2[i] = pair
-                has2[i] = True
-        some2 = bool(has2.any())
-        return cls(
-            rcv,
-            snd,
-            kinds,
-            pay,
-            None if ok.all() else ok,
-            pay2 if some2 else None,
-            has2 if some2 and not has2.all() else None,
-            msgs,
-        )
+    def from_messages(cls, outputs, index: dict[int, int]) -> "_Lanes":
+        """Pack a round of object-node ``(node id, messages)`` outputs in
+        canonical order; the objects travel as they are."""
+        objs = [msg for _, msgs in outputs for msg in msgs]
+        rcv = np.fromiter((msg.receiver for msg in objs), dtype=np.int64, count=len(objs))
+        senders = np.array([index[nid] for nid, _ in outputs], dtype=np.int64)
+        snd = np.repeat(senders, [len(msgs) for _, msgs in outputs])
+        return cls(rcv, snd, objs=objs)
 
     @classmethod
     def from_batch(cls, batch: MessageBatch, snd: np.ndarray) -> "_Lanes":
@@ -254,7 +222,7 @@ class _Lanes:
         kinds = batch.kinds
         if type(kinds) is not np.ndarray:
             kinds = int(kinds)
-        return cls(batch.receivers, snd, kinds, batch.payloads, pay2=batch.payloads2)
+        return cls(batch.receivers, snd, kinds, batch.payloads, batch.payloads2)
 
     def __len__(self) -> int:
         return self.rcv.shape[0]
@@ -274,63 +242,13 @@ class _Lanes:
             snd,
             kinds[sel] if type(kinds) is np.ndarray else kinds,
             _rows(self.pay, sel),
-            _rows(self.ok, sel),
             _rows(self.pay2, sel),
-            _rows(self.has2, sel),
             None if self.objs is None else [self.objs[i] for i in sel.tolist()],
-        )
-
-    @classmethod
-    def concat(cls, parts: list["_Lanes"]) -> "_Lanes":
-        """Row-wise concatenation; a single non-empty part is returned as
-        is, keeping its columns' identity.  Equal scalar kinds stay
-        scalar.  A lane some part lacks is filled only when another part
-        carries it: zeros for payloads, ones for ``ok``, ``None`` objects,
-        and ``has2`` marks exactly the rows that brought a ``pay2``."""
-        parts = [p for p in parts if len(p)]
-        if len(parts) == 1:
-            return parts[0]
-
-        def lane(name, fill, force=False):
-            cols = [getattr(p, name) for p in parts]
-            if not force and all(c is None for c in cols):
-                return None
-            return np.concatenate(
-                [fill(p) if c is None else c for p, c in zip(parts, cols)]
-            )
-
-        kinds = parts[0].kinds
-        if not all(type(p.kinds) is not np.ndarray and p.kinds == kinds for p in parts):
-            kinds = np.concatenate([np.broadcast_to(p.kinds, len(p)) for p in parts])
-        pay2 = lane("pay2", lambda p: np.zeros(len(p), dtype=np.int64))
-        has2 = None
-        if pay2 is not None:
-            has2 = lane(
-                "has2",
-                lambda p: np.full(len(p), p.pay2 is not None),
-                force=any(p.pay2 is None for p in parts),
-            )
-        objs = None
-        if any(p.objs is not None for p in parts):
-            objs = [o for p in parts for o in (p.objs or [None] * len(p))]
-        return cls(
-            lane("rcv", None),
-            lane("snd", None),
-            kinds,
-            lane("pay", lambda p: np.zeros(len(p), dtype=np.int64)),
-            lane("ok", lambda p: np.ones(len(p), dtype=bool)),
-            pay2,
-            has2,
-            objs,
         )
 
     def shardable(self) -> bool:
         """Only key and integer payload lanes: what the shard pool moves."""
-        return (
-            type(self.kinds) is not np.ndarray
-            and self.pay is not None
-            and all(lane is None for lane in (self.ok, self.has2, self.objs))
-        )
+        return self.objs is None and type(self.kinds) is not np.ndarray
 
     def check_int64(self, what: str) -> None:
         """Sanitize mode: int64 end to end (RL303's runtime twin) — a
@@ -339,45 +257,6 @@ class _Lanes:
             col = getattr(self, name)
             if isinstance(col, np.ndarray):
                 _sanitize.check_int64(f"{what} {name}", col)
-
-    def batch(self, s: int, e: int, nid: int, snd_real, rcv_real) -> MessageBatch:
-        """Rows ``[s, e)`` as the inbox of batch node ``nid``."""
-        if self.ok is not None and not self.ok[s:e].all():
-            raise TypeError(
-                f"batch node {nid} received a message whose payload is "
-                f"neither an integer nor an integer pair"
-            )
-        # Attach the secondary lane iff some message in the group carries
-        # it — the rule ``MessageBatch.from_messages`` (and hence the
-        # legacy engine) applies to mixed inboxes.
-        pay2 = None
-        if self.pay2 is not None and (self.has2 is None or bool(self.has2[s:e].any())):
-            pay2 = self.pay2[s:e]
-        kinds = self.kinds
-        return MessageBatch._raw(
-            snd_real[s:e],
-            rcv_real[s:e],
-            kinds[s:e] if type(kinds) is np.ndarray else kinds,
-            self.pay[s:e],
-            pay2,
-        )
-
-    def messages(self, s: int, e: int, nid: int, snd_real) -> list[Message]:
-        """Rows ``[s, e)`` as the inbox of object node ``nid``: emitted
-        objects pass through, batch rows become :class:`Message` s."""
-        kinds, pay, pay2, has2 = self.kinds, self.pay, self.pay2, self.has2
-        out = []
-        for i in range(s, e):
-            obj = None if self.objs is None else self.objs[i]
-            if obj is None:
-                code = kinds[i] if type(kinds) is np.ndarray else kinds
-                if pay2 is not None and (has2 is None or has2[i]):
-                    payload = (int(pay[i]), int(pay2[i]))
-                else:
-                    payload = int(pay[i])
-                obj = Message(int(snd_real[i]), nid, KINDS.name(int(code)), payload)
-            out.append(obj)
-        return out
 
 
 @dataclass(slots=True, eq=False)
@@ -673,28 +552,6 @@ class ProtocolNode:
         return True
 
 
-class BatchProtocolNode(ProtocolNode):
-    """A node that exchanges :class:`~repro.net.batch.MessageBatch` arrays.
-
-    The engines deliver a ``MessageBatch`` inbox and expect a
-    ``MessageBatch`` (or ``None``) back from :meth:`on_round_batch`; the
-    implicit sender of every emitted message is the node itself (scalar
-    ``senders`` recommended — forging another sender raises, exactly as
-    for object nodes).  Payloads are single ``int64`` values, or
-    ``(int64, int64)`` pairs via the optional ``payloads2`` lane — either
-    way matching the paper's ``O(log n)``-bit packets.
-    """
-
-    def on_round_batch(self, round_no: int, inbox: MessageBatch) -> MessageBatch | None:
-        raise NotImplementedError
-
-    def on_round(self, round_no: int, inbox: list[Message]) -> Iterable[Message]:
-        # Object-world bridge (engines dispatch on the class and never use
-        # it; handy for driving a batch node directly in tests).
-        out = self.on_round_batch(round_no, MessageBatch.from_messages(inbox))
-        return [] if out is None else out.to_messages()
-
-
 class SyncNetwork:
     """Round-driven simulator with capacity enforcement and metrics.
 
@@ -764,7 +621,7 @@ class SyncNetwork:
         self._metrics = NetworkMetrics()
         if isinstance(nodes, SoAProtocolClass):
             # SoA tier: one object holds every node's state; delivery runs
-            # through the same vectorized flat tail as batch traffic.
+            # through the same vectorized flat tail as object traffic.
             if engine != "vectorized":
                 raise ValueError(
                     "SoA protocol classes require the vectorized engine"
@@ -779,9 +636,7 @@ class SyncNetwork:
             self._contiguous = True
             # Per-node bookkeeping stays empty on the SoA path — run_round
             # short-circuits into _deliver_soa and never consults it.
-            self._is_batch = {}
-            self._any_batch = False
-            self._pending: dict[int, list[Message] | MessageBatch] = {}
+            self._pending: dict[int, list[Message]] = {}
         else:
             self._soa = None
             self.nodes = nodes
@@ -797,14 +652,7 @@ class SyncNetwork:
             if not self._contiguous:
                 self._sort_order = np.argsort(self._ids, kind="stable")
                 self._sorted_ids = self._ids[self._sort_order]
-            self._is_batch = {
-                nid: isinstance(node, BatchProtocolNode) for nid, node in nodes.items()
-            }
-            self._any_batch = any(self._is_batch.values())
-            self._pending = {
-                nid: (MessageBatch.empty() if self._is_batch[nid] else [])
-                for nid in nodes
-            }
+            self._pending = {nid: [] for nid in nodes}
         # Vectorized engines accumulate per-node totals in arrays and flush
         # them into the metrics dicts lazily (see the ``metrics`` property).
         self._sent_counts = np.zeros(n, dtype=np.int64)
@@ -835,11 +683,7 @@ class SyncNetwork:
         self._shard_ops_seen = 0
         self._layout_hit = False
         if tr is not None:
-            tier = (
-                "soa"
-                if self._soa is not None
-                else ("batch" if self._any_batch else "object")
-            )
+            tier = "soa" if self._soa is not None else "object"
             self._trace_clock = tr.clock
             self._round_trace = tr.table(
                 "net",
@@ -985,38 +829,20 @@ class SyncNetwork:
             self._metrics.rounds = self.round_no
             return
 
-        outputs: list[tuple[int, list[Message] | MessageBatch]] = []
+        outputs: list[tuple[int, list[Message]]] = []
         pending = self._pending
-        is_batch = self._is_batch
-        empty = MessageBatch.empty()
         round_no = self.round_no
         for nid, node in self.nodes.items():
             inbox = pending[nid]
-            if is_batch[nid]:
-                pending[nid] = empty
-                produced = node.on_round_batch(round_no, inbox)
-                if produced is not None and produced.receivers.shape[0]:
-                    senders = produced.senders
-                    bad = (
-                        bool((senders != nid).any())
-                        if type(senders) is np.ndarray
-                        else senders != nid
-                    )
-                    if bad:
+            pending[nid] = []
+            produced = list(node.on_round(round_no, inbox) or [])
+            if produced:
+                for msg in produced:
+                    if msg.sender != nid:
                         raise ValueError(
-                            f"node {nid} attempted to forge a message from another sender"
+                            f"node {nid} attempted to forge a message from {msg.sender}"
                         )
-                    outputs.append((nid, produced))
-            else:
-                pending[nid] = []
-                produced = list(node.on_round(round_no, inbox) or [])
-                if produced:
-                    for msg in produced:
-                        if msg.sender != nid:
-                            raise ValueError(
-                                f"node {nid} attempted to forge a message from {msg.sender}"
-                            )
-                    outputs.append((nid, produced))
+                outputs.append((nid, produced))
 
         if self.engine == "legacy":
             self._deliver_legacy(outputs)
@@ -1074,8 +900,7 @@ class SyncNetwork:
         flat_senders: list[int] = []
         local: dict[int, list[Message]] = {}
         for nid, produced in outputs:
-            msgs = produced.to_messages() if isinstance(produced, MessageBatch) else produced
-            for msg in msgs:
+            for msg in produced:
                 if msg.receiver == nid:
                     local.setdefault(nid, []).append(msg)
                 else:
@@ -1155,46 +980,28 @@ class SyncNetwork:
             max_received = max(max_received, len(msgs))
         metrics.max_received_per_round = max(metrics.max_received_per_round, max_received)
 
+        pending = self._pending
         for nid, msgs in local.items():
-            self._stage_inbox(nid, msgs)
+            pending[nid].extend(msgs)
         for idx, msgs in groups.items():
-            self._stage_inbox(int(ids[idx]), msgs)
+            pending[int(ids[idx])].extend(msgs)
         self._pending_count = len(flat) + sum(len(msgs) for msgs in local.values())
-
-    def _stage_inbox(self, nid: int, msgs: list[Message]) -> None:
-        if self._is_batch[nid]:
-            existing = self._pending[nid]
-            addition = MessageBatch.from_messages(msgs)
-            self._pending[nid] = (
-                addition if len(existing) == 0 else MessageBatch.concat([existing, addition])
-            )
-        else:
-            self._pending[nid].extend(msgs)
 
     # ------------------------------------------------------------------
     # Vectorized engine: one lane record through a fixed stage list.
     # ------------------------------------------------------------------
     def _deliver_vectorized(self, outputs) -> None:
-        """Array-path delivery (pack phase).
+        """Array-path delivery of object nodes (pack phase).
 
-        Each node's output becomes one :class:`_Lanes` part in canonical
-        order; the concatenation enters :meth:`_deliver` — the shared
-        tail that also serves the SoA tier, so every representation
-        consumes the delivery RNG identically.
+        The round's messages become one :class:`_Lanes` record in
+        canonical order, which enters :meth:`_deliver` — the shared tail
+        that also serves the SoA tier, so both tiers consume the
+        delivery RNG identically.
         """
-        index = self._index
-        codes = self._any_batch
-        parts = []
-        for nid, produced in outputs:
-            if type(produced) is list:
-                parts.append(_Lanes.from_messages(produced, index[nid], codes))
-            else:
-                snd = np.full(len(produced), index[nid], dtype=np.int64)
-                parts.append(_Lanes.from_batch(produced, snd))
-        if not parts:
+        if not outputs:
             self._pending_count = 0
             return
-        self._deliver(_Lanes.concat(parts))
+        self._deliver(_Lanes.from_messages(outputs, self._index))
 
     # ------------------------------------------------------------------
     # SoA engine entry: one batch carries the whole population's round.
@@ -1205,13 +1012,13 @@ class SyncNetwork:
         The class's emitted columns *are* the packed round: senders must
         already be in canonical order (ascending node index, per-sender
         emission order), which is what keeps truncation draws, metrics,
-        and inbox sequences bit-for-bit equal to the per-node tiers.
+        and inbox sequences bit-for-bit equal to the object tier.
         """
         if produced is None or produced.receivers.shape[0] == 0:
             self._pending_count = 0
             return
-        snd = produced.senders_array()
-        if snd.shape[0] != produced.receivers.shape[0]:
+        snd = produced.senders
+        if snd.shape != produced.receivers.shape:
             raise ValueError("SoA batch senders column must match receivers")
         if _sanitize.ENABLED or snd is not self._layout.snd:
             # Identity-stable sender columns were validated when cached;
@@ -1256,8 +1063,8 @@ class SyncNetwork:
         surviving rows, local ones included, and the payload lanes are
         gathered once, in delivery order.  Inboxes are cut as views of
         the receiver-sorted columns (or kept whole as the next
-        :class:`SoAInbox`), so per-message Python work only happens for
-        object-node interop.
+        :class:`SoAInbox`), so per-message Python work only happens on
+        object rounds.
         """
         if _sanitize.ENABLED:
             lanes.check_int64("entering")
@@ -1499,32 +1306,24 @@ class SyncNetwork:
 
     def _assemble(self, g: _Lanes, seg) -> None:
         """Stage the receiver-sorted round as next round's inboxes."""
-        ids = self._ids
-        contiguous = self._contiguous
         if _sanitize.ENABLED:
             # Postcondition of every grouping path (fresh sort, cache hit,
             # sharded sort): an unsorted ``rcv`` here means a stale
             # permutation or a shard worker writing outside its range.
             _sanitize.check_receiver_sorted("grouped rcv", g.rcv)
             g.check_int64("grouped")
-        snd_real = g.snd if contiguous else ids[g.snd]
         if self._soa is not None:
-            # The sorted columns ARE the next round's inbox: no group
-            # cutting, no per-node objects — one SoAInbox for everyone.
-            self._soa_inbox = SoAInbox(snd_real, g.rcv, g.kinds, g.pay, g.pay2, segments=seg)
+            # The sorted columns ARE the next round's inbox (SoA ids are
+            # contiguous): no group cutting, no per-node objects — one
+            # SoAInbox for everyone.
+            self._soa_inbox = SoAInbox(g.snd, g.rcv, g.kinds, g.pay, g.pay2, segments=seg)
             return
-        rcv_real = g.rcv if contiguous else ids[g.rcv]
-        if type(g.kinds) is np.ndarray and int(g.kinds.min()) == int(g.kinds.max()):
-            g.kinds = int(g.kinds[0])
+        rcv_real = g.rcv if self._contiguous else self._ids[g.rcv]
         starts = [0] + (np.flatnonzero(g.rcv[1:] != g.rcv[:-1]) + 1).tolist()
         ends = starts[1:] + [len(g)]
         pending = self._pending
-        is_batch = self._is_batch
         for s, e, nid in zip(starts, ends, rcv_real[starts].tolist()):
-            if is_batch[nid]:
-                pending[nid] = g.batch(s, e, nid, snd_real, rcv_real)
-            else:
-                pending[nid] = g.messages(s, e, nid, snd_real)
+            pending[nid] = g.objs[s:e]
 
     # ------------------------------------------------------------------
     def run(

@@ -1,32 +1,31 @@
 """Structure-of-arrays protocol classes: one call advances *all* nodes.
 
-The third execution tier of the simulator.  Object nodes
-(:class:`~repro.net.network.ProtocolNode`) cost one Python call per
-message; batch nodes (:class:`~repro.net.network.BatchProtocolNode`) cost
-one call per *node* per round.  At ``n ≥ 10⁵`` that per-node overhead
-(~10µs/node/round) dominates the whole simulation, so this module inverts
-the dispatch: a :class:`SoAProtocolClass` is one object representing every
-node of a protocol, holding node state in shared numpy columns (state
-codes, parent/min-id/depth arrays, port matrices) and advancing the entire
+The production tier of the simulator.  Object nodes
+(:class:`~repro.net.network.ProtocolNode`) cost one Python call per node
+per round and one object per message; at ``n ≥ 10⁵`` that overhead
+dominates the whole simulation, so this module inverts the dispatch: a
+:class:`SoAProtocolClass` is one object representing every node of a
+protocol, holding node state in shared numpy columns (state codes,
+parent/min-id/depth arrays, port matrices) and advancing the entire
 population with **one** :meth:`~SoAProtocolClass.on_round_soa` call per
 round.
 
 Delivery still runs through :class:`repro.net.network.SyncNetwork`'s
 vectorized engine — the class's emitted :class:`~repro.net.batch.MessageBatch`
 enters the exact same flat-column pipeline (local split, send/receive
-truncation via ``segmented_keep_indices``, bincount metrics) as per-node
-batch traffic, so the canonical RNG discipline of ``docs/engine.md`` is
+truncation via ``segmented_keep_indices``, bincount metrics) as object
+traffic, so the canonical RNG discipline of ``docs/engine.md`` is
 preserved *bit for bit*: a protocol class that emits its round's traffic
 in canonical order (ascending sender, per-sender emission order) produces
 the identical execution — same inboxes, same drops, same metrics — as the
-equivalent per-node batch protocol under the same seed.  The three-way
+equivalent object-node protocol under the same seed.  The object-vs-SoA
 differential suites (``tests/core/test_soa_engines.py``,
 ``tests/net/test_engine_equivalence.py``) enforce this.
 
 The inbox side is an :class:`SoAInbox`: the whole round's surviving
 traffic as receiver-sorted flat columns (local messages first within each
 receiver group, then remote survivors in canonical arrival order — the
-same per-node sequences the other tiers see, concatenated).  Helpers
+same per-node sequences the object tier sees, concatenated).  Helpers
 provide the segment reductions protocol classes actually need (per-receiver
 minima for flooding-style protocols, per-receiver segments for token
 accounting) without materialising any per-node structure.
@@ -61,7 +60,7 @@ class SoAInbox:
     ids ``0..n-1``, so index and id coincide), sorted ascending; within a
     receiver group, local (self-addressed) messages come first, then
     remote survivors in canonical arrival order — exactly the per-node
-    inbox sequences of the object/batch tiers, concatenated.  ``kinds``
+    inbox sequences of the object tier, concatenated.  ``kinds``
     may be a scalar code (uniform round, the common case for protocol
     schedules) or a per-message column.  ``payloads2`` is the optional
     second payload lane (``None`` when absent for the whole round).
@@ -137,8 +136,7 @@ class SoAInbox:
 
         Uniform scalar kinds stay scalar; mixed kinds materialise a
         column.  Lane-less traffic zero-fills ``payloads2`` when some
-        input carries it — the :class:`~repro.net.batch.MessageBatch`
-        convention.  Callers own the receiver ordering of the result
+        input carries it.  Callers own the receiver ordering of the result
         (the delay queue re-sorts on release).  With
         :data:`DEBUG_VALIDATE` on (or ``check=True``), each *input* is
         checked to be receiver-sorted — the documented precondition that
@@ -269,7 +267,7 @@ class SoAProtocolClass:
     - the emitted batch's ``senders`` is a per-message column sorted
       ascending (canonical node order; within one sender, emission order)
       — this is what makes the delivery RNG discipline, and therefore the
-      whole execution, bit-for-bit identical to the per-node tiers;
+      whole execution, bit-for-bit identical to the object tier;
     - the vectorized delivery engine only (`engine="vectorized"`).
     """
 

@@ -11,7 +11,7 @@ support once, and every layer asks the registry:
 
 >>> from repro.runtime import WORKLOADS, validate_tier
 >>> WORKLOADS["rooting"].tiers
-('object', 'batch', 'soa')
+('object', 'soa')
 >>> validate_tier("hybrid", "soa")
 'soa'
 

@@ -18,7 +18,7 @@ starve the protocol, and the row records whether it did (``converged``,
 Because fault streams are functions of ``(spec, fault_seed, round)``
 alone and every tier presents identical canonical message columns, the
 same ``(spec, n, seed)`` cell produces the **identical row** on the
-object, batch, and SoA tiers (modulo ``tier``/``wall_seconds`` — see
+object and SoA tiers (modulo ``tier``/``wall_seconds`` — see
 :func:`tier_invariant_view`); ``tests/scenarios/test_runner.py`` pins
 this differentially.
 """
@@ -286,7 +286,7 @@ def delay_drop_churn_grid(
 #: Named scenario grids the runner (and the S4 bench CLI) resolve.
 SCENARIO_GRIDS: dict[str, tuple[ScenarioSpec, ...]] = {
     # One representative of each adversary plus a composite — the quick
-    # differential surface (CI smoke runs this on all three tiers).
+    # differential surface (CI smoke runs this on both tiers).
     "smoke": (
         ScenarioSpec(name="smoke/baseline"),
         ScenarioSpec(name="smoke/delay4", delay=LinkDelay(4)),
@@ -325,7 +325,7 @@ class ScenarioRunner:
     """Execute scenario grids over sizes × tiers × seeds.
 
     The graph family is the ring-plus-chords stand-in for evolution
-    output shared with the S2/S3 benches (low diameter, degree ≤ 6), so
+    output shared with the S3/S4 benches (low diameter, degree ≤ 6), so
     scenario results stay comparable with the synchronous scaling story.
 
     ``workload`` selects what each cell runs: ``"rooting"`` (the
@@ -351,7 +351,7 @@ class ScenarioRunner:
 
     sizes: tuple[int, ...] = (512,)
     seeds: tuple[int, ...] = (0, 1, 2)
-    tiers: tuple[str, ...] = ("batch", "soa")
+    tiers: tuple[str, ...] = ("soa",)
     delta: int = 16
     chords: int = 2
     workload: str = "rooting"

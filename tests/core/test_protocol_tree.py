@@ -8,7 +8,8 @@ import pytest
 
 from repro.core.params import ExpanderParams
 from repro.core.protocol import run_protocol_expander
-from repro.core.protocol_tree import run_batch_rooting, run_protocol_rooting
+from repro.core.protocol_tree import run_protocol_rooting
+from repro.core.soa_rooting import run_soa_rooting
 from repro.graphs import generators as G
 from repro.graphs.analysis import adjacency_sets, bfs_distances
 from repro.core.benign import make_benign
@@ -88,7 +89,7 @@ class TestFloodBoundary:
     hop short, so ``flood_rounds == diameter`` left a second self-believed
     root at the far end of the path and raised a spurious RuntimeError."""
 
-    @pytest.mark.parametrize("runner", [run_protocol_rooting, run_batch_rooting])
+    @pytest.mark.parametrize("runner", [run_protocol_rooting, run_soa_rooting])
     def test_path_with_flood_rounds_equal_diameter(self, runner):
         n = 10
         params = ExpanderParams.recommended(n)
@@ -98,7 +99,7 @@ class TestFloodBoundary:
         dist = bfs_distances(base.neighbor_sets(), 0)
         assert (result.depth == dist).all()
 
-    @pytest.mark.parametrize("runner", [run_protocol_rooting, run_batch_rooting])
+    @pytest.mark.parametrize("runner", [run_protocol_rooting, run_soa_rooting])
     def test_insufficient_flooding_still_detected(self, runner):
         # One round short of the diameter: the far end never hears id 0,
         # roots itself, and the unique-root check must fire.

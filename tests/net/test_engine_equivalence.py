@@ -1,5 +1,5 @@
 """Differential equivalence: legacy vs. vectorized delivery engines,
-across all three node representations (object, batch, SoA).
+across both node representations (object nodes and SoA classes).
 
 All engines of :class:`SyncNetwork` implement the §1.1 NCC0 semantics
 under one canonical RNG discipline (see ``docs/engine.md``), so under the
@@ -21,13 +21,7 @@ import pytest
 
 from repro.net.batch import KINDS, MessageBatch
 from repro.net.message import Message
-from repro.net.network import (
-    BatchProtocolNode,
-    CapacityPolicy,
-    ProtocolNode,
-    SoAProtocolClass,
-    SyncNetwork,
-)
+from repro.net.network import CapacityPolicy, ProtocolNode, SoAProtocolClass, SyncNetwork
 
 N_NODES = 24
 N_ROUNDS = 6
@@ -83,39 +77,6 @@ class ScriptedNode(ProtocolNode):
             Message(self.node_id, receiver, kind, payload)
             for receiver, kind, payload in self.sends_per_round[round_no]
         ]
-
-    def is_idle(self):
-        return False
-
-
-class BatchScriptedNode(BatchProtocolNode):
-    """Replays the same plan with message batches; logs every inbox."""
-
-    def __init__(self, node_id, sends_per_round):
-        super().__init__(node_id)
-        self.sends_per_round = sends_per_round
-        self.log: list[list[tuple[int, str, int]]] = []
-
-    def on_round_batch(self, round_no, inbox):
-        senders = inbox.senders_array()
-        kinds = inbox.kinds_array()
-        self.log.append(
-            [
-                (int(senders[i]), KINDS.name(int(kinds[i])), int(inbox.payloads[i]))
-                for i in range(len(inbox))
-            ]
-        )
-        if round_no >= len(self.sends_per_round):
-            return None
-        sends = self.sends_per_round[round_no]
-        if not sends:
-            return None
-        return MessageBatch(
-            self.node_id,
-            np.array([receiver for receiver, _, _ in sends], dtype=np.int64),
-            np.array([KINDS.code(kind) for _, kind, _ in sends], dtype=np.int64),
-            np.array([payload for _, _, payload in sends], dtype=np.int64),
-        )
 
     def is_idle(self):
         return False
@@ -208,18 +169,18 @@ class TestObjectNodeEquivalence:
 
 
 class TestCrossRepresentationEquivalence:
-    """Scripted nodes draw no randomness of their own, so all four
-    engine × representation combinations must coincide exactly."""
+    """Scripted nodes draw no randomness of their own, so object nodes on
+    both engines and the SoA class must coincide exactly."""
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_four_way_identical(self, seed):
+    def test_three_way_identical(self, seed):
         plan = make_plan(seed)
         runs = {
-            (node_cls.__name__, engine): run_workload(plan, node_cls, engine, CAPACITY, seed)
-            for node_cls in (ScriptedNode, BatchScriptedNode)
+            engine: run_workload(plan, ScriptedNode, engine, CAPACITY, seed)
             for engine in ("legacy", "vectorized")
         }
-        reference_logs, reference_metrics = runs[("ScriptedNode", "legacy")]
+        runs["soa"] = run_soa_workload(plan, CAPACITY, seed)
+        reference_logs, reference_metrics = runs["legacy"]
         for key, (logs, metrics) in runs.items():
             assert metrics == reference_metrics, key
             assert logs == reference_logs, key
@@ -228,8 +189,7 @@ class TestCrossRepresentationEquivalence:
 class TestSoAEquivalence:
     """The SoA tier replays the identical workloads — over-capacity
     senders, hot receivers, self-loops, mixed kinds — and must coincide
-    exactly with the per-node tiers on both engines: the three-way
-    (object / batch / SoA) matrix of ISSUE 3."""
+    exactly with object nodes on both engines."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_soa_matches_object_oracle(self, seed):
@@ -240,14 +200,14 @@ class TestSoAEquivalence:
         assert logs_soa == logs_obj
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_soa_matches_batch_vectorized(self, seed):
+    def test_soa_matches_object_vectorized(self, seed):
         plan = make_plan(seed)
-        logs_bat, metrics_bat = run_workload(
-            plan, BatchScriptedNode, "vectorized", CAPACITY, seed
+        logs_obj, metrics_obj = run_workload(
+            plan, ScriptedNode, "vectorized", CAPACITY, seed
         )
         logs_soa, metrics_soa = run_soa_workload(plan, CAPACITY, seed)
-        assert metrics_soa == metrics_bat
-        assert logs_soa == logs_bat
+        assert metrics_soa == metrics_obj
+        assert logs_soa == logs_obj
 
     @pytest.mark.parametrize("seed", range(4))
     def test_soa_unbounded(self, seed):

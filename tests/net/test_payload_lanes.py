@@ -1,126 +1,46 @@
-"""Second payload lane: pair payloads through batches and both engines.
+"""Second payload lane: pair payloads on both tiers.
 
-``MessageBatch.payloads2`` lets a packet carry an ``(int64, int64)`` pair
-(e.g. the rooting phase's ``(depth, offerer)`` BFS offers).  These tests
-pin the conversion rules — pair ⇄ two lanes, zero-fill in mixed inboxes —
-and the engine contract: legacy and vectorized delivery agree exactly for
-every sender/receiver representation pairing.
+``MessageBatch.payloads2`` lets an SoA packet carry an ``(int64, int64)``
+pair (e.g. the rooting phase's ``(depth, offerer)`` BFS offers); object
+nodes send tuple payloads.  These tests pin the engine contract for
+object pair traffic — legacy and vectorized delivery agree exactly,
+including mixed rounds where only some messages carry pairs — and the
+SoA inbox's kind filter over both lanes.
 """
 
 import numpy as np
 import pytest
 
-from repro.net.batch import KINDS, MessageBatch, pair_payload
+from repro.net.batch import KINDS
 from repro.net.message import Message
-from repro.net.network import (
-    BatchProtocolNode,
-    CapacityPolicy,
-    ProtocolNode,
-    SyncNetwork,
-)
+from repro.net.network import CapacityPolicy, ProtocolNode, SyncNetwork
+from repro.net.soa import SoAInbox
 
 PAIR = KINDS.code("pair")
 PLAIN = KINDS.code("plain")
 
 
-class TestPairPayloadPredicate:
-    def test_accepts_int_pairs(self):
-        assert pair_payload((3, 4)) == (3, 4)
-        assert pair_payload((np.int64(3), 4)) == (3, 4)
-
-    def test_rejects_everything_else(self):
-        assert pair_payload(3) is None
-        assert pair_payload((1, 2, 3)) is None
-        assert pair_payload(("a", 1)) is None
-        assert pair_payload([1, 2]) is None  # convention: tuples only
-        assert pair_payload(None) is None
-
-
-class TestBatchConversions:
-    def test_roundtrip_pure_pairs(self):
-        msgs = [Message(0, 1, "pair", (7, 8)), Message(0, 2, "pair", (9, 10))]
-        batch = MessageBatch.from_messages(msgs)
-        assert batch.payloads.tolist() == [7, 9]
-        assert batch.payloads2.tolist() == [8, 10]
-        assert batch.to_messages() == msgs
-
-    def test_mixed_inbox_zero_fills_lane_two(self):
-        msgs = [Message(0, 1, "plain", 5), Message(0, 1, "pair", (6, 7))]
-        batch = MessageBatch.from_messages(msgs)
-        assert batch.payloads.tolist() == [5, 6]
-        assert batch.payloads2.tolist() == [0, 7]
-
-    def test_non_pair_payload_rejected(self):
-        with pytest.raises(TypeError, match="integer or integer-pair"):
-            MessageBatch.from_messages([Message(0, 1, "x", "oops")])
-        with pytest.raises(TypeError, match="integer or integer-pair"):
-            MessageBatch.from_messages([Message(0, 1, "x", (1, 2, 3))])
-
-    def test_concat_zero_fills_laneless_batches(self):
-        with_lane = MessageBatch(0, [1, 2], "pair", [3, 4], [5, 6])
-        without = MessageBatch(1, [3], "plain", [7])
-        merged = MessageBatch.concat([with_lane, without])
-        assert merged.payloads2.tolist() == [5, 6, 0]
-        merged_plain = MessageBatch.concat([without, without])
-        assert merged_plain.payloads2 is None
-
+class TestSoAInboxKindFilter:
     def test_of_kind_filters_all_columns(self):
-        batch = MessageBatch(
-            [0, 1, 0],
-            [5, 6, 7],
-            [PAIR, PLAIN, PAIR],
-            [1, 2, 3],
-            [10, 20, 30],
+        inbox = SoAInbox(
+            np.array([0, 1, 0]),
+            np.array([5, 6, 7]),
+            np.array([PAIR, PLAIN, PAIR]),
+            np.array([1, 2, 3]),
+            np.array([10, 20, 30]),
         )
-        sub = batch.of_kind(PAIR)
+        sub = inbox.of_kind(PAIR)
         assert sub.receivers.tolist() == [5, 7]
         assert sub.payloads.tolist() == [1, 3]
         assert sub.payloads2.tolist() == [10, 30]
-        assert sub.senders_array().tolist() == [0, 0]
-        assert batch.payloads_of_kind(PLAIN).tolist() == [2]
+        assert sub.senders.tolist() == [0, 0]
 
     def test_of_kind_scalar_fast_paths(self):
-        batch = MessageBatch(0, [1, 2], PAIR, [3, 4], [5, 6])
-        assert batch.of_kind(PAIR) is batch
-        assert len(batch.of_kind(PLAIN)) == 0
-        assert batch.payloads_of_kind(PLAIN).shape == (0,)
-
-
-class PairSprayer(BatchProtocolNode):
-    """Batch node broadcasting (round, id) pairs to every other node."""
-
-    def __init__(self, node_id, n, rounds):
-        super().__init__(node_id)
-        self.n = n
-        self.rounds = rounds
-        self.log = []
-
-    def on_round_batch(self, round_no, inbox):
-        senders = inbox.senders_array()
-        p2 = (
-            inbox.payloads2
-            if inbox.payloads2 is not None
-            else np.zeros(len(inbox), dtype=np.int64)
+        inbox = SoAInbox(
+            np.array([0, 0]), np.array([1, 2]), PAIR, np.array([3, 4]), np.array([5, 6])
         )
-        self.log.append(
-            sorted(
-                (int(senders[i]), int(inbox.payloads[i]), int(p2[i]))
-                for i in range(len(inbox))
-            )
-        )
-        if round_no >= self.rounds:
-            return None
-        targets = np.array([u for u in range(self.n) if u != self.node_id], dtype=np.int64)
-        return MessageBatch._raw(
-            self.node_id,
-            targets,
-            PAIR,
-            np.full(targets.shape[0], round_no, dtype=np.int64),
-            np.full(targets.shape[0], self.node_id, dtype=np.int64),
-        )
-
-    def is_idle(self):
-        return False
+        assert inbox.of_kind(PAIR) is inbox
+        assert len(inbox.of_kind(PLAIN)) == 0
 
 
 class ObjectPairSprayer(ProtocolNode):
@@ -164,101 +84,11 @@ def _run(node_cls, n, engine, capacity, seed, rounds=4):
 
 
 class TestEnginesAgreeOnPairTraffic:
-    @pytest.mark.parametrize("node_cls", [PairSprayer, ObjectPairSprayer])
     @pytest.mark.parametrize(
         "capacity", [CapacityPolicy.unbounded(), CapacityPolicy(max_send=4, max_receive=3)]
     )
-    def test_legacy_and_vectorized_identical(self, node_cls, capacity):
-        logs_l, metrics_l = _run(node_cls, 6, "legacy", capacity, seed=2)
-        logs_v, metrics_v = _run(node_cls, 6, "vectorized", capacity, seed=2)
+    def test_legacy_and_vectorized_identical(self, capacity):
+        logs_l, metrics_l = _run(ObjectPairSprayer, 6, "legacy", capacity, seed=2)
+        logs_v, metrics_v = _run(ObjectPairSprayer, 6, "vectorized", capacity, seed=2)
         assert metrics_l == metrics_v
         assert logs_l == logs_v
-
-
-class PairEmitter(BatchProtocolNode):
-    def __init__(self, node_id, target):
-        super().__init__(node_id)
-        self.target = target
-
-    def on_round_batch(self, round_no, inbox):
-        if round_no:
-            return None
-        return MessageBatch._raw(
-            self.node_id,
-            np.array([self.target], dtype=np.int64),
-            PAIR,
-            np.array([41], dtype=np.int64),
-            np.array([42], dtype=np.int64),
-        )
-
-    def is_idle(self):
-        return False
-
-
-class Recorder(ProtocolNode):
-    def __init__(self, node_id):
-        super().__init__(node_id)
-        self.seen = []
-
-    def on_round(self, round_no, inbox):
-        self.seen.extend((m.sender, m.kind, m.payload) for m in inbox)
-        return []
-
-    def is_idle(self):
-        return False
-
-
-class TestCrossRepresentation:
-    @pytest.mark.parametrize("engine", ["legacy", "vectorized"])
-    def test_batch_pairs_reach_object_nodes_as_tuples(self, engine):
-        nodes = {0: PairEmitter(0, target=1), 1: Recorder(1)}
-        net = SyncNetwork(
-            nodes, CapacityPolicy.unbounded(), np.random.default_rng(0), engine=engine
-        )
-        net.run_round()
-        net.run_round()
-        assert nodes[1].seen == [(0, "pair", (41, 42))]
-
-    @pytest.mark.parametrize("engine", ["legacy", "vectorized"])
-    def test_object_tuples_reach_batch_nodes_on_both_lanes(self, engine):
-        class TupleSender(ProtocolNode):
-            def on_round(self, round_no, inbox):
-                if round_no:
-                    return []
-                return [
-                    Message(self.node_id, 1, "pair", (13, 14)),
-                    Message(self.node_id, 1, "plain", 15),
-                ]
-
-            def is_idle(self):
-                return False
-
-        sink = PairSprayer(1, n=2, rounds=0)
-        nodes = {0: TupleSender(0), 1: sink}
-        net = SyncNetwork(
-            nodes, CapacityPolicy.unbounded(), np.random.default_rng(0), engine=engine
-        )
-        net.run_round()
-        net.run_round()
-        # Round 1's inbox: the pair on both lanes, the plain int zero-filled.
-        assert sink.log[1] == [(0, 13, 14), (0, 15, 0)]
-
-    @pytest.mark.parametrize("engine", ["legacy", "vectorized"])
-    def test_bad_payload_to_batch_node_still_raises(self, engine):
-        class BadSender(ProtocolNode):
-            def on_round(self, round_no, inbox):
-                if round_no:
-                    return []
-                return [Message(self.node_id, 1, "x", (1, 2, 3))]
-
-            def is_idle(self):
-                return False
-
-        nodes = {0: BadSender(0), 1: PairSprayer(1, n=2, rounds=0)}
-        net = SyncNetwork(
-            nodes, CapacityPolicy.unbounded(), np.random.default_rng(0), engine=engine
-        )
-        # Delivery to a batch node validates payload shape; a 3-tuple is
-        # neither an integer nor a pair, so the first round's delivery raises.
-        with pytest.raises(TypeError):
-            net.run_round()

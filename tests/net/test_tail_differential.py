@@ -9,12 +9,12 @@ suite; this one drives all of them *in the same round*:
 - a fault hook dropping remote rows (as a mask or as keep-indices),
 - binding send and receive caps (one truncation draw each),
 - non-contiguous node ids in a shuffled insertion order,
-- object and batch nodes side by side, with integer and pair payloads,
+- object nodes sending integer and pair payloads in the same round,
 
 and asserts identical inboxes, metrics and delivery-RNG state between
 the legacy and vectorized engines.  An SoA population (contiguous ids)
 runs the same kind of rounds against the object-node oracle, serially
-and on the sharded sort.
+and on the sharded sort, with and without its pair-payload lane.
 """
 
 import numpy as np
@@ -22,13 +22,7 @@ import pytest
 
 from repro.net.batch import KINDS, MessageBatch
 from repro.net.message import Message
-from repro.net.network import (
-    BatchProtocolNode,
-    CapacityPolicy,
-    ProtocolNode,
-    SoAProtocolClass,
-    SyncNetwork,
-)
+from repro.net.network import CapacityPolicy, ProtocolNode, SoAProtocolClass, SyncNetwork
 from repro.net.shard import fork_available
 from repro.obs import Tracer
 
@@ -65,6 +59,15 @@ def make_plan(seed: int, ids: list[int], pairs: bool, local: bool = True):
     return plan
 
 
+def all_pairs(plan):
+    """The plan with every payload sent as a ``(p, -p)`` pair: an SoA
+    round carries the pair lane on every row or on none."""
+    return {
+        v: [[(r, k, (p, -p)) for r, k, p in sends] for sends in rounds]
+        for v, rounds in plan.items()
+    }
+
+
 def drop_hook(round_no, senders, receivers):
     """Oblivious drops: a fixed hash of (sender, receiver, round), as a
     mask on even rounds and as ascending keep-indices on odd ones."""
@@ -85,20 +88,6 @@ class ObjectNode(ProtocolNode):
         return [Message(self.node_id, r, k, p) for r, k, p in self.sends[round_no]]
 
 
-class BatchNode(BatchProtocolNode):
-    def __init__(self, node_id, sends):
-        super().__init__(node_id)
-        self.sends = sends
-        self.log = []
-
-    def on_round_batch(self, round_no, inbox):
-        self.log.append([(m.sender, m.kind, m.payload) for m in inbox.to_messages()])
-        if round_no >= len(self.sends) or not self.sends[round_no]:
-            return None
-        msgs = [Message(self.node_id, r, k, p) for r, k, p in self.sends[round_no]]
-        return MessageBatch.from_messages(msgs)
-
-
 class SoAScripted(SoAProtocolClass):
     """The plan as one SoA population (ids ``0..n-1``)."""
 
@@ -114,22 +103,22 @@ class SoAScripted(SoAProtocolClass):
             return None
         rows = [(v, *send) for v in range(self.n) for send in self.plan[v][round_no]]
         kinds = {KINDS.code(r[2]) for r in rows}
+        bodies = [r[3] for r in rows]
+        pairs = isinstance(bodies[0], tuple)
         return MessageBatch(
             np.array([r[0] for r in rows], dtype=np.int64),
             np.array([r[1] for r in rows], dtype=np.int64),
             kinds.pop() if len(kinds) == 1 else [KINDS.code(r[2]) for r in rows],
-            np.array([r[3] for r in rows], dtype=np.int64),
+            [b[0] for b in bodies] if pairs else bodies,
+            [b[1] for b in bodies] if pairs else None,
         )
 
 
-def run_nodes(plan, ids, engine, seed, batch_every=2, traced=False):
-    """Object and batch nodes alternating in insertion order; returns
-    the inbox logs, metrics, delivery-RNG state (and, when ``traced``,
-    the per-round metrics view)."""
-    nodes = {
-        v: (BatchNode if i % batch_every == 0 else ObjectNode)(v, plan[v])
-        for i, v in enumerate(ids)
-    }
+def run_nodes(plan, ids, engine, seed, traced=False):
+    """Object nodes in insertion order ``ids``; returns the inbox logs,
+    metrics, delivery-RNG state (and, when ``traced``, the per-round
+    metrics view)."""
+    nodes = {v: ObjectNode(v, plan[v]) for v in ids}
     rng = np.random.default_rng(seed)
     net = SyncNetwork(
         nodes,
@@ -196,14 +185,17 @@ class TestSoAMixedRoundDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("local", [True, False])
-    def test_soa_matches_object_oracle(self, seed, workers, local):
+    @pytest.mark.parametrize("pairs", [False, True])
+    def test_soa_matches_object_oracle(self, seed, workers, local, pairs):
         """Without self-addressed rows, ``workers=2`` takes the sharded
         sort on rounds that faults and caps have already narrowed."""
         if workers > 1 and not fork_available():
             pytest.skip("fork unavailable: the pool would run serially")
         ids = list(range(N))
         plan = make_plan(seed, ids, pairs=False, local=local)
-        logs_o, metrics_o, rng_o = run_nodes(plan, ids, "legacy", seed, batch_every=N + 1)
+        if pairs:
+            plan = all_pairs(plan)
+        logs_o, metrics_o, rng_o = run_nodes(plan, ids, "legacy", seed)
         cls = SoAScripted(N, plan)
         rng = np.random.default_rng(seed)
         net = SyncNetwork(cls, CAPACITY, rng, fault_hook=drop_hook, workers=workers)

@@ -316,8 +316,14 @@ class TestSingleFieldResolvers:
     """The harness-facing helpers share the context's resolution."""
 
     def test_select_choice_matches_resolve(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ROOTING", "batch")
-        assert select_choice("rooting") == RunContext.resolve().rooting == "batch"
+        monkeypatch.setenv("REPRO_ROOTING", "protocol")
+        assert select_choice("rooting") == RunContext.resolve().rooting == "protocol"
+
+    @pytest.mark.parametrize("kind", ["rooting", "expander"])
+    def test_batch_is_not_a_tier(self, monkeypatch, kind):
+        monkeypatch.setenv(f"REPRO_{kind.upper()}", "batch")
+        with pytest.raises(ValueError, match=f"{kind} must be one of"):
+            RunContext.resolve()
 
     def test_select_choice_unknown_kind(self):
         with pytest.raises(ValueError, match="kind must be one of"):
@@ -331,7 +337,7 @@ class TestSingleFieldResolvers:
         assert not choice_specified("engine")
         monkeypatch.setenv("REPRO_ENGINE", "legacy")
         assert choice_specified("engine")
-        assert choice_specified("rooting", "batch")
+        assert choice_specified("rooting", "protocol")
 
     def test_workers_specified(self, monkeypatch):
         assert not workers_specified()

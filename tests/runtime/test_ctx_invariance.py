@@ -14,7 +14,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.protocol_tree import run_batch_rooting
+from repro.core.batch_protocol import run_soa_expander
+from repro.core.protocol import run_protocol_expander
+from repro.core.protocol_tree import run_protocol_rooting
 from repro.core.pipeline import build_well_formed_tree
 from repro.core.soa_rooting import run_soa_rooting
 from repro.graphs import generators as G
@@ -60,10 +62,10 @@ class TestRootingInvariance:
         assert tree_sha(sharded) == tree_sha(baseline)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_batch_ctx_matches_shim(self, seed):
+    def test_object_ctx_matches_shim(self, seed):
         graph = rooting_graph(seed)
-        shim = run_batch_rooting(graph, FLOOD_ROUNDS, rng=np.random.default_rng(seed))
-        via_ctx = run_batch_rooting(
+        shim = run_protocol_rooting(graph, FLOOD_ROUNDS, rng=np.random.default_rng(seed))
+        via_ctx = run_protocol_rooting(
             graph,
             FLOOD_ROUNDS,
             rng=np.random.default_rng(seed),
@@ -72,8 +74,19 @@ class TestRootingInvariance:
         assert tree_sha(via_ctx) == tree_sha(shim)
 
 
+class TestExpanderInvariance:
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_object_and_soa_same_ports_through_ctx(self, workers):
+        ctx = RunContext.resolve(workers=workers)
+        line = G.line_graph(40)
+        obj = run_protocol_expander(line, rng=np.random.default_rng(4), ctx=ctx)
+        soa = run_soa_expander(line, rng=np.random.default_rng(4), ctx=ctx)
+        assert np.array_equal(obj.final_graph.ports, soa.final_graph.ports)
+        assert obj.metrics.as_dict() == soa.metrics.as_dict()
+
+
 class TestPipelineInvariance:
-    @pytest.mark.parametrize("rooting", ("reference", "batch", "soa"))
+    @pytest.mark.parametrize("rooting", ("reference", "protocol", "soa"))
     def test_build_tree_ctx_matches_kwargs(self, rooting):
         ring = G.cycle_graph(64)
         shim = build_well_formed_tree(
@@ -90,10 +103,10 @@ class TestPipelineInvariance:
         ring = G.cycle_graph(48)
         ctx = RunContext.resolve(rooting="reference")
         overridden = build_well_formed_tree(
-            ring, rng=np.random.default_rng(5), rooting="batch", ctx=ctx
+            ring, rng=np.random.default_rng(5), rooting="protocol", ctx=ctx
         )
         plain = build_well_formed_tree(
-            ring, rng=np.random.default_rng(5), rooting="batch"
+            ring, rng=np.random.default_rng(5), rooting="protocol"
         )
         assert np.array_equal(overridden.bfs.parent, plain.bfs.parent)
 
@@ -103,9 +116,9 @@ class TestChurnRebuildInvariance:
     def test_theorem11_rebuild_ctx_matches_shim(self, seed):
         graph = G.complete_graph(40)
         shim = rebuild_survivor_overlay(graph, 0.3, np.random.default_rng(seed))
-        # The shim default runs the batched rooting tier; the context
+        # The shim default runs the SoA rooting tier; the context
         # spelling pins the same mode explicitly.
-        ctx = RunContext.resolve(rooting="batch", expander="walks")
+        ctx = RunContext.resolve(rooting="soa", expander="walks")
         via_ctx = rebuild_survivor_overlay(
             graph, 0.3, np.random.default_rng(seed), ctx=ctx
         )
@@ -138,7 +151,7 @@ class TestChurnRebuildInvariance:
         context carries a hybrid tier."""
         graph = G.complete_graph(40)
         ctx = RunContext.resolve(
-            rooting="batch", expander="walks", hybrid="soa"
+            rooting="soa", expander="walks", hybrid="soa"
         )
         result = rebuild_survivor_overlay(graph, 0.3, np.random.default_rng(1), ctx=ctx)
         # A Theorem 1.1 SurvivorRebuild has a bfs tree, not hybrid labels.
@@ -151,7 +164,7 @@ class TestScenarioRowInvariance:
         from repro.scenarios import ScenarioSpec
         from repro.scenarios.runner import ScenarioRunner
 
-        tiers = ("batch", "soa") if workload == "rooting" else ("object", "soa")
+        tiers = ("object", "soa")
         spec = ScenarioSpec(name="invariance/baseline")
         plain = ScenarioRunner(
             sizes=(96,), seeds=(0, 1), tiers=tiers, workload=workload

@@ -51,7 +51,9 @@ class TestRegistryShape:
 class TestValidation:
     def test_valid_tier_returned(self):
         assert validate_tier("hybrid", "soa") == "soa"
-        assert validate_tier("rooting", "batch") == "batch"
+        assert validate_tier("rooting", "object") == "object"
+        with pytest.raises(ValueError, match="rooting tier must be one of"):
+            validate_tier("rooting", "batch")
 
     def test_invalid_tier_message_lists_choices(self):
         with pytest.raises(

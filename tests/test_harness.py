@@ -30,10 +30,10 @@ class TestSelectTier:
         assert select_tier("expander") == "walks"
 
     def test_cli_beats_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ROOTING", "batch")
-        assert select_tier("rooting") == "batch"
+        monkeypatch.setenv("REPRO_ROOTING", "protocol")
+        assert select_tier("rooting") == "protocol"
         assert select_tier("rooting", "soa") == "soa"
-        assert select_tier("rooting", default="protocol") == "batch"
+        assert select_tier("rooting", default="soa") == "protocol"
 
     def test_env_vars_are_per_kind(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXPANDER", "soa")
@@ -66,7 +66,7 @@ class TestSelectTier:
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         monkeypatch.delenv("REPRO_ROOTING", raising=False)
         assert select_engine() == "vectorized"
-        assert select_rooting(default="batch") == "batch"
+        assert select_rooting(default="protocol") == "protocol"
         with pytest.raises(ValueError):
             select_engine("soa")  # engine-only choices by default
 
