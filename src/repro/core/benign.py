@@ -23,6 +23,7 @@ graphs small enough to afford it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import networkx as nx
 import numpy as np
@@ -31,7 +32,14 @@ from repro.core.params import ExpanderParams
 from repro.graphs.portgraph import PortGraph
 from repro.graphs.mincut import min_cut_of_portgraph
 
-__all__ = ["BaseEdge", "BenignReport", "make_benign", "check_benign", "undirected_edge_list"]
+__all__ = [
+    "BaseEdge",
+    "BenignReport",
+    "make_benign",
+    "check_benign",
+    "undirected_edge_arrays",
+    "undirected_edge_list",
+]
 
 
 @dataclass(frozen=True)
@@ -66,12 +74,46 @@ class BenignReport:
         return self.is_regular and self.is_lazy and cut_ok
 
 
+def undirected_edge_arrays(graph) -> tuple[int, np.ndarray, np.ndarray]:
+    """:func:`undirected_edge_list` as columns: ``(n, lo, hi)`` with
+    ``lo[i] < hi[i]``, each distinct edge once, in ascending ``(lo, hi)``
+    order — one O(n + m) pass over the adjacency plus one sort."""
+    if not isinstance(graph, (nx.Graph, nx.DiGraph)):
+        raise TypeError(f"unsupported graph type: {type(graph)!r}")
+    n = graph.number_of_nodes()
+    bad = next(
+        (v for v in graph.nodes if not (isinstance(v, (int, np.integer)) and 0 <= v < n)),
+        None,
+    )
+    if bad is not None:
+        raise ValueError(
+            f"node labels must be the integers 0..{n - 1}; label {bad!r} is "
+            f"outside that range (relabel first, e.g. with "
+            f"nx.convert_node_labels_to_integers)"
+        )
+    # ``adjacency()`` yields the raw neighbour dicts (a digraph's
+    # successors, so every directed edge appears once; a multigraph's
+    # parallel edges share one entry) — far cheaper to walk than the
+    # ``adj`` views, which wrap every row.
+    adj = dict(graph.adjacency())
+    degree = np.fromiter(map(len, adj.values()), dtype=np.int64, count=n)
+    src = np.repeat(np.fromiter(adj, dtype=np.int64, count=n), degree)
+    dst = np.fromiter(chain.from_iterable(adj.values()), dtype=np.int64, count=src.shape[0])
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    keep = lo != hi
+    keys = np.sort(lo[keep] * n + hi[keep])
+    if keys.shape[0]:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return n, keys // n, keys % n
+
+
 def undirected_edge_list(graph) -> tuple[int, list[tuple[int, int]]]:
     """Extract ``(n, edges)`` from a directed or undirected input graph.
 
     Directions are dropped (the paper treats the knowledge graph as
     undirected after the introduction round); self-loops and duplicate
-    edges (including a multigraph's parallel edges) are removed.
+    edges (including a multigraph's parallel edges) are removed.  Edges
+    come as sorted ``(a, b)`` pairs with ``a < b``.
 
     Raises
     ------
@@ -79,25 +121,8 @@ def undirected_edge_list(graph) -> tuple[int, list[tuple[int, int]]]:
         If the node labels are not the integers ``0..n-1``; the message
         names the first offending label.
     """
-    if isinstance(graph, (nx.Graph, nx.DiGraph)):
-        n = graph.number_of_nodes()
-        bad = next(
-            (v for v in graph.nodes if not (isinstance(v, (int, np.integer)) and 0 <= v < n)),
-            None,
-        )
-        if bad is not None:
-            raise ValueError(
-                f"node labels must be the integers 0..{n - 1}; label {bad!r} is "
-                f"outside that range (relabel first, e.g. with "
-                f"nx.convert_node_labels_to_integers)"
-            )
-        edges = {
-            (min(a, b), max(a, b))
-            for a, b in graph.edges()
-            if a != b
-        }
-        return n, sorted(edges)
-    raise TypeError(f"unsupported graph type: {type(graph)!r}")
+    n, lo, hi = undirected_edge_arrays(graph)
+    return n, list(zip(lo.tolist(), hi.tolist()))
 
 
 def make_benign(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.benign import check_benign
+from repro.core.benign import check_benign, undirected_edge_arrays
 from repro.core.bfs import BFSForest, build_bfs_forest
 from repro.core.child_sibling import RootedTree
 from repro.core.euler import WellFormedTree, build_well_formed_from_tree
@@ -72,6 +72,31 @@ from repro.runtime import EXPANDER_MODES, ROOTING_MODES, RunContext  # noqa: E40
 from repro.runtime import HYBRID_TIERS as HYBRID_MODES  # noqa: E402
 
 
+#: Raised for disconnected input: up front by :func:`require_connected`,
+#: and by the rooting phase as an internal guard.
+DISCONNECTED = "input graph is disconnected; use repro.hybrid.components for forests"
+
+
+def require_connected(graph) -> None:
+    """Reject a disconnected input before any expensive phase runs.
+
+    One O(n + m) pass: the deduplicated undirected edge columns of
+    :func:`~repro.core.benign.undirected_edge_arrays` (directions dropped,
+    so a digraph must be weakly connected) and one sparse
+    connected-components labelling.  Inputs with fewer than two nodes
+    are left to the expander's own size check.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n, lo, hi = undirected_edge_arrays(graph)
+    if n < 2:
+        return
+    adj = coo_matrix((np.ones(lo.shape[0], dtype=np.int64), (lo, hi)), shape=(n, n))
+    if connected_components(adj, directed=False, return_labels=False) > 1:
+        raise ValueError(DISCONNECTED)
+
+
 def _rooting_forest(
     graph: PortGraph,
     mode: str,
@@ -98,9 +123,7 @@ def _rooting_forest(
         # connected graph that outran the flood/round budget keeps its
         # original diagnosis.
         if not is_connected(graph.neighbor_sets()):
-            raise ValueError(
-                "input graph is disconnected; use repro.hybrid.components for forests"
-            ) from exc
+            raise ValueError(DISCONNECTED) from exc
         raise
     return BFSForest(
         parent=result.parent,
@@ -203,7 +226,9 @@ def build_well_formed_tree(
     Parameters
     ----------
     graph:
-        Weakly connected networkx (di)graph of bounded degree.
+        Weakly connected networkx (di)graph of bounded degree; a
+        disconnected one raises ``ValueError`` before CreateExpander
+        runs.
     params, rng:
         Algorithm parameters and randomness; both default sensibly
         (:meth:`ExpanderParams.recommended`, seed 0).
@@ -258,6 +283,7 @@ def build_well_formed_tree(
         raise ValueError(f"expander must be one of {EXPANDER_MODES}, got {expander!r}")
     if rng is None:
         rng = np.random.default_rng(0)
+    require_connected(graph)
 
     if expander == "walks":
         expander_result = create_expander(
@@ -297,9 +323,7 @@ def build_well_formed_tree(
     else:
         bfs = _rooting_forest(expander_result.final_graph, rooting, rng, ctx)
     if len(bfs.roots) != 1:
-        raise ValueError(
-            "input graph is disconnected; use repro.hybrid.components for forests"
-        )
+        raise ValueError(DISCONNECTED)
     tree = RootedTree(root=bfs.roots[0], parent=bfs.parent.copy())
     well_formed = build_well_formed_from_tree(tree)
 

@@ -111,8 +111,8 @@ class SoARootingClass(SoAProtocolClass):
         self.depth = np.full(n, -1, dtype=np.int64)
         self.announced = np.zeros(n, dtype=bool)
         # The flooding batch's sender/receiver columns never change (node
-        # v announces to its distinct neighbours every flood round); only
-        # the payload gather ``best[senders]`` is per-round work.
+        # v announces to its distinct neighbours every flood round), and
+        # its payload is ``best`` itself, shipped as a by-sender table.
         self._flood_senders = np.repeat(ids, self.degrees)
         self._done = False
 
@@ -134,9 +134,8 @@ class SoARootingClass(SoAProtocolClass):
                 if improved.any():
                     self.best[nodes[improved]] = mins[improved]
             if round_no < self.flood_rounds:
-                senders = self._flood_senders
                 return MessageBatch._raw(
-                    senders, self.flat, MIN_ID, self.best[senders]
+                    self._flood_senders, self.flat, MIN_ID, self.best, by_sender=True
                 )
             roots = self.best == self._ids
             parent[roots] = self._ids[roots]
@@ -176,7 +175,7 @@ class SoARootingClass(SoAProtocolClass):
                 receivers = receivers[keep]
                 if senders.shape[0]:
                     out = MessageBatch._raw(
-                        senders, receivers, BFS_OFFER, depth[senders], senders
+                        senders, receivers, BFS_OFFER, depth, self._ids, by_sender=True
                     )
         self._done = bool(self.announced.all())
         return out

@@ -327,10 +327,15 @@ def connected_components_hybrid(
         A resolved :class:`~repro.runtime.context.RunContext`; supplies
         ``tier``/``tracer`` (and workers/fault spec for the networks the
         SoA tier builds) when the kwargs are omitted — kwargs win.
+
+    A single isolated node is its own component (label ``0``, forest
+    parent ``0``); an empty graph raises ``ValueError``.
     """
     if tier is None:
         tier = ctx.hybrid if ctx is not None else "object"
     validate_tier("hybrid", tier)
+    if (graph.n if hasattr(graph, "n") else len(graph)) == 0:
+        raise ValueError("connected_components_hybrid needs at least 1 node, got an empty graph")
     if tier == "soa":
         # Lazy import: soa_pipeline pulls the network stack in.
         from repro.hybrid.soa_pipeline import connected_components_hybrid_soa

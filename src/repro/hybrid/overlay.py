@@ -89,8 +89,8 @@ class HybridOverlayParams:
         practical sizes, power-of-two for stitching); evolutions scale
         with the component bound ``m``.
         """
-        if n < 2:
-            raise ValueError("need at least 2 nodes")
+        if n < 1:
+            raise ValueError("need at least 1 node")
         log_n = max(1, math.ceil(math.log2(n)))
         m = max(2, m_bound if m_bound is not None else n)
         log_m = max(1, math.ceil(math.log2(m)))

@@ -459,13 +459,15 @@ class SoASpannerClass(SoAProtocolClass):
         senders, receivers = self.adj.neighbor_gather(nodes)
         if receivers.shape[0] == 0:
             return None
-        counts = self.adj.indptr[nodes + 1] - self.adj.indptr[nodes]
+        # Each message carries its sender's maximiser: the state columns
+        # themselves travel as by-sender tables.
         return MessageBatch(
             senders=senders,
             receivers=receivers,
             kinds=KINDS.code(self.KIND),
-            payloads=np.repeat(self.best_src[nodes], counts),
-            payloads2=np.repeat(self.best_val[nodes].view(np.int64), counts),
+            payloads=self.best_src,
+            payloads2=self.best_val.view(np.int64),
+            by_sender=True,
         )
 
     # -- protocol-class contract ---------------------------------------

@@ -18,6 +18,15 @@ Design notes
   — or an ``(int64, int64)`` pair when the optional second payload lane
   ``payloads2`` is attached (e.g. the rooting phase's ``(depth, offerer)``
   BFS offers).  Either shape matches the paper's ``O(log n)``-bit packets.
+  A lane is either a per-message column (length ``m``) or, when the batch
+  is built with ``by_sender=True``, a per-node *table* of length ``n``
+  indexed by sender: message ``i`` carries ``payloads[senders[i]]``.  A
+  broadcast — every node sending its own current value to all its
+  neighbours, as in min-id flooding — ships its state column as the
+  table, and the delivery tail gathers it once, through the
+  receiver-sorted senders, instead of materialising ``table[senders]``
+  and then permuting it.  The tail reads a table only inside the round
+  that received it, so an emitter may pass a live state column.
 """
 
 from __future__ import annotations
@@ -51,10 +60,13 @@ class KindTable:
 KINDS = KindTable()
 
 
-def _as_column(value, length: int, what: str) -> np.ndarray:
+def _as_column(value, length: int | None, what: str) -> np.ndarray:
+    """An int64 column of ``length`` rows; ``None`` accepts any 1-d
+    length (a by-sender table, checked against ``n`` by the network)."""
     arr = np.asarray(value, dtype=np.int64)
-    if arr.shape != (length,):
-        raise ValueError(f"{what} column has shape {arr.shape}, expected ({length},)")
+    if arr.ndim != 1 or (length is not None and arr.shape[0] != length):
+        expected = "n" if length is None else length
+        raise ValueError(f"{what} column has shape {arr.shape}, expected ({expected},)")
     return arr
 
 
@@ -67,12 +79,16 @@ class MessageBatch:
     batch carries single-integer payloads): protocols whose packets are
     integer *pairs* — e.g. the rooting phase's ``(depth, offerer)`` BFS
     offers — put the first component in ``payloads`` and the second in
-    ``payloads2``.
+    ``payloads2``.  With ``by_sender=True`` both payload lanes are
+    per-node tables indexed by sender (see the module notes); the
+    network checks their length against its node count.
     """
 
-    __slots__ = ("senders", "receivers", "kinds", "payloads", "payloads2")
+    __slots__ = ("senders", "receivers", "kinds", "payloads", "payloads2", "by_sender")
 
-    def __init__(self, senders, receivers, kinds, payloads=None, payloads2=None) -> None:
+    def __init__(
+        self, senders, receivers, kinds, payloads=None, payloads2=None, *, by_sender=False
+    ) -> None:
         self.receivers = np.asarray(receivers, dtype=np.int64)
         if self.receivers.ndim != 1:
             raise ValueError("receivers must be a 1-d array")
@@ -83,15 +99,19 @@ class MessageBatch:
         # A scalar is normalised to a python int so hot-path code can test
         # ``type(x) is np.ndarray`` to distinguish the uniform case.
         self.kinds = int(kinds) if np.ndim(kinds) == 0 else _as_column(kinds, m, "kinds")
+        self.by_sender = bool(by_sender)
         if payloads is None:
+            if by_sender:
+                raise ValueError("a by_sender batch needs a payload table")
             payloads = np.zeros(m, dtype=np.int64)
-        self.payloads = _as_column(payloads, m, "payloads")
-        self.payloads2 = (
-            None if payloads2 is None else _as_column(payloads2, m, "payloads2")
-        )
+        rows = None if by_sender else m
+        self.payloads = _as_column(payloads, rows, "payloads")
+        self.payloads2 = None if payloads2 is None else _as_column(payloads2, rows, "payloads2")
 
     @classmethod
-    def _raw(cls, senders, receivers, kinds, payloads, payloads2=None) -> "MessageBatch":
+    def _raw(
+        cls, senders, receivers, kinds, payloads, payloads2=None, by_sender=False
+    ) -> "MessageBatch":
         """Unvalidated constructor for protocol hot paths.
 
         Columns are stored exactly as given (arrays may be views into
@@ -104,6 +124,7 @@ class MessageBatch:
         batch.kinds = kinds
         batch.payloads = payloads
         batch.payloads2 = payloads2
+        batch.by_sender = by_sender
         return batch
 
     def __len__(self) -> int:

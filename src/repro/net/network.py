@@ -196,7 +196,12 @@ class _Lanes:
     round follows :class:`SoAInbox`'s conventions: ``kinds`` is a scalar
     code for a uniform round or a column, ``pay`` the payload column and
     ``pay2`` the optional pair-payload lane.  An absent lane stays
-    ``None`` through :meth:`take` and is never materialised.
+    ``None`` through :meth:`take` and is never materialised.  With
+    ``by_sender`` the payload lanes are per-node tables indexed by
+    sender index (a broadcast's state columns, see
+    :class:`~repro.net.batch.MessageBatch`); the record's row gather
+    resolves them through the gathered sender column and yields
+    per-message columns.
     """
 
     rcv: np.ndarray
@@ -205,6 +210,7 @@ class _Lanes:
     pay: np.ndarray | None = None
     pay2: np.ndarray | None = None
     objs: list[Message] | None = None
+    by_sender: bool = False
 
     @classmethod
     def from_messages(cls, outputs, index: dict[int, int]) -> "_Lanes":
@@ -222,7 +228,10 @@ class _Lanes:
         kinds = batch.kinds
         if type(kinds) is not np.ndarray:
             kinds = int(kinds)
-        return cls(batch.receivers, snd, kinds, batch.payloads, batch.payloads2)
+        return cls(
+            batch.receivers, snd, kinds, batch.payloads, batch.payloads2,
+            by_sender=batch.by_sender,
+        )
 
     def __len__(self) -> int:
         return self.rcv.shape[0]
@@ -235,14 +244,17 @@ class _Lanes:
     def take_rows(self, sel: np.ndarray, rcv, snd) -> "_Lanes":
         """:meth:`take` with the key columns already gathered: the
         delivery tail's one payload gather per round (the packed sort
-        yields the sorted receivers, the layout cache keeps both)."""
+        yields the sorted receivers, the layout cache keeps both).  A
+        by-sender table is gathered through ``snd``, which must hold the
+        sender indices of rows ``sel``."""
         kinds = self.kinds
+        pay_rows = snd if self.by_sender else sel
         return _Lanes(
             rcv,
             snd,
             kinds[sel] if type(kinds) is np.ndarray else kinds,
-            _rows(self.pay, sel),
-            _rows(self.pay2, sel),
+            _rows(self.pay, pay_rows),
+            _rows(self.pay2, pay_rows),
             None if self.objs is None else [self.objs[i] for i in sel.tolist()],
         )
 
@@ -1020,6 +1032,14 @@ class SyncNetwork:
         snd = produced.senders
         if snd.shape != produced.receivers.shape:
             raise ValueError("SoA batch senders column must match receivers")
+        if produced.by_sender:
+            for name in ("payloads", "payloads2"):
+                table = getattr(produced, name)
+                if table is not None and table.shape != (self._n,):
+                    raise ValueError(
+                        f"SoA batch by-sender {name} table has shape "
+                        f"{table.shape}, expected ({self._n},)"
+                    )
         if _sanitize.ENABLED or snd is not self._layout.snd:
             # Identity-stable sender columns were validated when cached;
             # _verify_layout re-validates if the values turn out to have
@@ -1231,7 +1251,12 @@ class SyncNetwork:
             rcv_s = lay.rcv_s if self._reuse_layouts else rows.rcv[order]
             snd_s = lay.snd_s if rows.snd is lay.snd else rows.snd[order]
             pool = self._shards
-            if pool is not None and lay.shard_gen == pool.gen and lanes.shardable():
+            if (
+                pool is not None
+                and lay.shard_gen == pool.gen
+                and lanes.shardable()
+                and not lanes.by_sender
+            ):
                 pay_s, pay2_s = pool.gather_payloads(len(lanes), lanes.pay, lanes.pay2, pool.gen)
                 return _Lanes(rcv_s, snd_s, lanes.kinds, pay_s, pay2=pay2_s), lay.seg
             return lanes.take_rows(order, rcv_s, snd_s), lay.seg
@@ -1246,11 +1271,21 @@ class SyncNetwork:
         if sharded:
             # ``order`` indexes the selection; only a pristine round (no
             # selection) stores it.
-            part = lanes if sel is None else lanes.take_rows(sel, rows.rcv, rows.snd)
-            order, rcv_s, snd_s, pay_s, pay2_s = self._shard_pool(len(rows)).sort_round(
-                rows.rcv, rows.snd, part.pay, part.pay2, recv[0]
-            )
-            grouped = _Lanes(rcv_s, snd_s, lanes.kinds, pay_s, pay2=pay2_s)
+            pool = self._shard_pool(len(rows))
+            if lanes.by_sender:
+                # The pool sorts the keys only; the tables are gathered
+                # here through the sorted senders (kinds are scalar, so
+                # nothing reads the selection-relative ``order``).
+                order, rcv_s, snd_s, _, _ = pool.sort_round(
+                    rows.rcv, rows.snd, None, None, recv[0]
+                )
+                grouped = lanes.take_rows(order, rcv_s, snd_s)
+            else:
+                part = lanes if sel is None else lanes.take_rows(sel, rows.rcv, rows.snd)
+                order, rcv_s, snd_s, pay_s, pay2_s = pool.sort_round(
+                    rows.rcv, rows.snd, part.pay, part.pay2, recv[0]
+                )
+                grouped = _Lanes(rcv_s, snd_s, lanes.kinds, pay_s, pay2=pay2_s)
         else:
             if local is None:
                 order, rcv_s = group_sort(rows.rcv, self._n, sel)

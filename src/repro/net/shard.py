@@ -169,7 +169,7 @@ def _worker_loop(conn, cols, lo: int, hi: int) -> None:
             break
         try:
             if op == "sort":
-                _, m, off, gen, want_pay2 = job
+                _, m, off, gen, lanes = job
                 # Per-job wall seconds ride back on the reply so a traced
                 # run can report shard balance; measurement is telemetry's
                 # job, the sort itself stays seed-determined.
@@ -185,9 +185,8 @@ def _worker_loop(conn, cols, lo: int, hi: int) -> None:
                 order_out[off:end] = local
                 rcv_out[off:end] = rcv_sorted
                 snd_out[off:end] = snd_in[local]
-                pay_out[off:end] = pay_in[local]
-                if want_pay2:
-                    pay2_out[off:end] = pay2_in[local]
+                for name in lanes:
+                    cols[name + "_s"][off:end] = cols[name][local]
                 dt = time.perf_counter() - start  # repro-lint: disable=RL202
                 conn.send(("ok", k, dt))
             elif op == "gather":
@@ -350,7 +349,7 @@ class ShardPool:
             total += val
         return total
 
-    def _serial_sort(self, m: int, offs: np.ndarray, want_pay2: bool) -> None:
+    def _serial_sort(self, m: int, offs: np.ndarray, lanes: tuple[str, ...]) -> None:
         cols = self._cols
         rcv = cols["rcv"][:m]
         self._serial_cache = []
@@ -364,9 +363,8 @@ class ShardPool:
             cols["order"][off:end] = local
             cols["rcv_s"][off:end] = rcv_sorted
             cols["snd_s"][off:end] = cols["snd"][local]
-            cols["pay_s"][off:end] = cols["pay"][local]
-            if want_pay2:
-                cols["pay2_s"][off:end] = cols["pay2"][local]
+            for name in lanes:
+                cols[name + "_s"][off:end] = cols[name][local]
             self._serial_cache.append((local, off))
             self.last_counts[w] = local.shape[0]
             self.last_seconds[w] = time.perf_counter() - start  # repro-lint: disable=RL202
@@ -376,7 +374,7 @@ class ShardPool:
         self,
         rcv_idx: np.ndarray,
         snd_all: np.ndarray,
-        pay_all: np.ndarray,
+        pay_all: np.ndarray | None,
         pay2_all: np.ndarray | None,
         recv_counts: np.ndarray,
     ):
@@ -386,7 +384,10 @@ class ShardPool:
         ``n``) — its prefix sums at the shard bounds are the workers'
         output offsets, which is the whole "merge".  Returns
         ``(order, rcv_s, snd_s, pay_s, pay2_s)`` bit-for-bit equal to
-        the in-process ``group_sort`` path.
+        the in-process ``group_sort`` path.  An absent payload lane
+        (``None``; e.g. a by-sender table the caller gathers itself
+        through ``snd_s``) is neither copied nor sorted and comes back
+        as ``None``.
         """
         m = int(rcv_idx.shape[0])
         if recv_counts.shape[0] != self.n:
@@ -396,15 +397,23 @@ class ShardPool:
             )
         if m == 0:
             empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, empty, (None if pay2_all is None else empty)
+            return (
+                empty,
+                empty,
+                empty,
+                None if pay_all is None else empty,
+                None if pay2_all is None else empty,
+            )
         self._ensure(m)
         cols = self._cols
         cols["rcv"][:m] = rcv_idx
         cols["snd"][:m] = snd_all
-        cols["pay"][:m] = pay_all
-        want_pay2 = pay2_all is not None
-        if want_pay2:
-            cols["pay2"][:m] = pay2_all
+        lanes = []  # the payload lanes present this round, by arena column
+        for name, col in (("pay", pay_all), ("pay2", pay2_all)):
+            if col is not None:
+                cols[name][:m] = col
+                lanes.append(name)
+        lanes = tuple(lanes)
         csum = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(recv_counts, out=csum[1:])
         offs = csum[self.bounds[:-1]]
@@ -424,10 +433,10 @@ class ShardPool:
             if guarded:
                 cols["order"][m] = _CANARY
         if self._serial:
-            self._serial_sort(m, offs, want_pay2)
+            self._serial_sort(m, offs, lanes)
         else:
             for w, conn in enumerate(self._conns):
-                conn.send(("sort", m, int(offs[w]), self.gen, want_pay2))
+                conn.send(("sort", m, int(offs[w]), self.gen, lanes))
             total = self._collect()
             if total != m:
                 raise RuntimeError(
@@ -456,8 +465,8 @@ class ShardPool:
             cols["order"][:m].copy(),
             cols["rcv_s"][:m].copy(),
             cols["snd_s"][:m].copy(),
-            cols["pay_s"][:m].copy(),
-            cols["pay2_s"][:m].copy() if want_pay2 else None,
+            cols["pay_s"][:m].copy() if "pay" in lanes else None,
+            cols["pay2_s"][:m].copy() if "pay2" in lanes else None,
         )
 
     def gather_payloads(

@@ -29,6 +29,24 @@ class TestEdgeExtraction:
         _, edges = undirected_edge_list(d)
         assert edges == [(0, 1), (1, 2)]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_plain_set_extraction(self, seed):
+        """The columnar extraction against the plain per-edge set rule,
+        on multigraph / digraph inputs with loops and numpy-int labels."""
+        import networkx as nx
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        cls = [nx.Graph, nx.DiGraph, nx.MultiGraph, nx.MultiDiGraph][seed % 4]
+        g = cls()
+        g.add_nodes_from(np.arange(n)[rng.permutation(n)].tolist())
+        ends = rng.integers(0, n, size=(3 * n, 2))
+        g.add_edges_from((np.int64(a), int(b)) for a, b in ends)
+        expected = sorted({(min(a, b), max(a, b)) for a, b in g.edges() if a != b})
+        got_n, got = undirected_edge_list(g)
+        assert got_n == n
+        assert got == expected
+
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             undirected_edge_list([[1], [0]])

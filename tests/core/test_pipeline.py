@@ -93,6 +93,37 @@ class TestValidationModes:
         with pytest.raises(ValueError, match="disconnected"):
             build_well_formed_tree(mix, rng=np.random.default_rng(9))
 
+    @pytest.mark.parametrize("expander", ["walks", "soa"])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_disconnected_input_rejected_before_the_expander(
+        self, monkeypatch, expander, directed
+    ):
+        import repro.core.pipeline as pipeline
+
+        def never(*args, **kwargs):
+            raise AssertionError("the expander ran on a disconnected input")
+
+        monkeypatch.setattr(pipeline, "create_expander", never)
+        monkeypatch.setattr(pipeline, "_message_level_expander", never)
+        mix, _ = G.component_mixture([G.line_graph(300), G.cycle_graph(200)])
+        if directed:
+            mix = G.random_orientation(mix, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="input graph is disconnected"):
+            build_well_formed_tree(mix, rng=np.random.default_rng(9), expander=expander)
+
+    def test_connected_input_passes_the_up_front_check(self):
+        import networkx as nx
+
+        from repro.core.pipeline import require_connected
+
+        # Weakly connected digraph, parallel edges, self-loops: all one
+        # component once directions and duplicates are dropped.
+        g = nx.MultiDiGraph([(0, 1), (0, 1), (2, 1), (2, 2), (3, 2)])
+        require_connected(g)
+        g.add_node(4)
+        with pytest.raises(ValueError, match="disconnected"):
+            require_connected(g)
+
     def test_directed_input_accepted(self, rng):
         d = G.random_orientation(G.cycle_graph(32), rng)
         result = build_well_formed_tree(d, rng=np.random.default_rng(10))

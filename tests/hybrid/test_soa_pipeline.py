@@ -318,6 +318,31 @@ class TestComponentsEquivalence:
         }
         assert {k: sorted(v) for k, v in result.components().items()} == truth
 
+    def test_single_node_is_its_own_component(self):
+        import networkx as nx
+
+        results = [
+            connected_components_hybrid(
+                nx.empty_graph(1), rng=np.random.default_rng(3), tier=tier
+            )
+            for tier in HYBRID_TIERS
+        ]
+        for res in results:
+            assert res.labels.tolist() == [0]
+            assert res.forest.parent.tolist() == [0]
+            assert res.components() == {0: [0]}
+        first = results[0]
+        for res in results[1:]:
+            assert np.array_equal(res.bfs.parent, first.bfs.parent)
+            assert res.ledger.phases == first.ledger.phases
+
+    @pytest.mark.parametrize("tier", HYBRID_TIERS)
+    def test_empty_graph_rejected(self, tier):
+        import networkx as nx
+
+        with pytest.raises(ValueError, match="needs at least 1 node"):
+            connected_components_hybrid(nx.empty_graph(0), tier=tier)
+
     def test_invalid_tier_rejected(self):
         with pytest.raises(ValueError, match="tier must be one of"):
             connected_components_hybrid(mixture(0), tier="warp")
